@@ -4,17 +4,15 @@ from .bounds import (BoundPair, ExactEvaluator, PlanResult, SeparationResult,
                      check_separation, compute_bounds, plan_with_guarantees)
 from .core import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                    ParticleBelief, ParticleDepletionError, exact_bayes_update,
-                   expected_reward, observation_predictive, particle_update,
+                   expected_reward, observation_predictive,
                    propagate_open_loop, reachable_states)
 from .envs import (GridEnvironment, GridWorldSpec, build_beacon_pomdp,
                    build_tunnel_pomdp, tunnel_spec)
-from .oracle import (exact_afo_value, exact_aol_value, exact_best_action,
-                     exact_q_star)
+from .oracle import exact_afo_value, exact_aol_value, exact_q_star
 from .pomcp import AtPomcp, PomcpConfig, SearchResult
 from .replan import (SkipConfig, SrgCertificate, check_srg, compute_ck,
                      execute_with_skipping, future_bounds)
-from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb, estimate_ub, \
-    solve_root
+from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb, estimate_ub
 from .topology import CLOSED, OPEN, AugmentedHistory, Topology, build_tree, \
     random_topology, refine_topology
 
@@ -29,9 +27,9 @@ __all__ = [
     "SrgCertificate", "Topology", "build_beacon_pomdp", "build_tree",
     "build_tunnel_pomdp", "check_separation", "check_srg", "compute_bounds",
     "compute_ck", "exact_afo_value", "exact_aol_value", "exact_bayes_update",
-    "exact_best_action", "exact_q_star", "execute_with_skipping",
+    "exact_q_star", "execute_with_skipping",
     "expected_reward", "estimate_lb", "estimate_ub", "future_bounds",
-    "observation_predictive", "particle_update", "plan_with_guarantees",
+    "observation_predictive", "plan_with_guarantees",
     "propagate_open_loop", "random_topology", "reachable_states",
-    "refine_topology", "solve_root", "tunnel_spec",
+    "refine_topology", "tunnel_spec",
 ]

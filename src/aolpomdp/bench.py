@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import ExactEvaluator, check_separation, plan_with_guarantees
+from .bounds import ExactEvaluator, plan_with_guarantees
 from .core import (DiscretePomdp, ExactBelief, ParticleBelief,
                    ParticleDepletionError)
 from .envs import GridEnvironment, GridWorldSpec, build_beacon_pomdp, \
@@ -26,11 +25,22 @@ from .modelio import (config_bool, config_float, config_int, config_int_list,
 from .oracle import exact_aol_value, exact_afo_value, exact_q_star
 from .pomcp import AtPomcp, PomcpConfig
 from .replan import SkipConfig, execute_with_skipping
-from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb, solve_root
+from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb
 from .topology import Topology, random_topology
 
 FMT = "{:.9g}"
 DEPLETION_RETRIES = 3
+CONFIG_KEYS = frozenset(
+    [f"environment.{k}" for k in (
+        "kind", "compat_obsmodel", "length", "start_col", "reward_offset",
+        "horizon", "width", "height", "beacon_x", "beacon_y", "goal_x",
+        "goal_y", "start_x", "start_y")]
+    + [f"solver.{k}" for k in (
+        "kind", "N", "NO", "state_branches", "horizon", "max_refinements",
+        "flips", "num_simulations", "time_budget_ms", "ucb", "pw_k",
+        "pw_alpha")]
+    + [f"skip.{k}" for k in ("enabled", "k", "m", "plan_horizon")]
+    + ["baseline.enabled", "steps", "seeds"])
 
 
 @dataclass
@@ -68,6 +78,10 @@ class ExperimentConfig:
     def from_document(cls, text: str, compat_obsmodel: bool = False,
                       seed_override=None) -> "ExperimentConfig":
         doc = parse_config(text)
+        unknown = sorted(set(doc) - CONFIG_KEYS)
+        if unknown:
+            raise ValueError("unknown config key(s): "
+                             + ", ".join(repr(k) for k in unknown))
         env_kind = doc.get("environment.kind", "beacon")
         compat = compat_obsmodel or config_bool(doc, "environment.compat_obsmodel")
         if env_kind == "tunnel":
@@ -126,13 +140,26 @@ class ExperimentConfig:
 
 @dataclass
 class RunSummary:
+    """Per-seed results of one arm; list i of every field belongs to seeds[i]."""
+
     variant: str
+    seeds: list
     returns: list
     planning_times: list
     skip_ratios: list
-    open_fractions: list
-    errors: list
+    open_fractions: list           # per seed: the open fraction of each decision
+    errors: list                   # (seed, message) for each failed seed
     speedup: float = None
+
+    def restricted_to(self, seeds) -> "RunSummary":
+        keep = [i for i, seed in enumerate(self.seeds) if seed in seeds]
+
+        def pick(values):
+            return [values[i] for i in keep]
+
+        return RunSummary(self.variant, pick(self.seeds), pick(self.returns),
+                          pick(self.planning_times), pick(self.skip_ratios),
+                          pick(self.open_fractions), self.errors, self.speedup)
 
     @property
     def mean_return(self) -> float:
@@ -159,9 +186,10 @@ class RunSummary:
                "std_return " + FMT.format(self.std_return),
                "total_planning_time " + FMT.format(self.total_planning_time),
                "mean_skip_ratio " + FMT.format(self.mean_skip_ratio)]
-        if self.open_fractions:
+        fractions = [f for per_seed in self.open_fractions for f in per_seed]
+        if fractions:
             out.append("mean_open_fraction "
-                       + FMT.format(statistics.fmean(self.open_fractions)))
+                       + FMT.format(statistics.fmean(fractions)))
         if self.speedup is not None:
             out.append("speedup " + FMT.format(self.speedup))
         if len(self.returns) < 2:
@@ -187,20 +215,6 @@ def _build_model(config: ExperimentConfig) -> DiscretePomdp:
     if config.env_kind == "tunnel":
         return build_tunnel_pomdp(config.spec)
     return build_beacon_pomdp(config.spec)
-
-
-class _StepLimitedEnv:
-    """Wraps the grid environment to end episodes after a fixed step count."""
-
-    def __init__(self, env: GridEnvironment, steps: int):
-        self.env = env
-        self.steps = steps
-        self.taken = 0
-
-    def step(self, action):
-        observation, reward, done = self.env.step(action)
-        self.taken += 1
-        return observation, reward, done or self.taken >= self.steps
 
 
 def _make_planner(model: DiscretePomdp, config: ExperimentConfig,
@@ -279,8 +293,7 @@ def _trace_text(trace) -> str:
 def _run_episode(model: DiscretePomdp, config: ExperimentConfig,
                  adaptive: bool, seed: int):
     env_rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    env = _StepLimitedEnv(GridEnvironment(model, config.spec, env_rng),
-                          config.steps)
+    env = GridEnvironment(model, config.spec, env_rng, step_limit=config.steps)
     stats = {}
     planner = _make_planner(model, config, adaptive, seed, stats)
     skip = config.skip if adaptive else SkipConfig(enabled=False)
@@ -292,49 +305,45 @@ def _run_episode(model: DiscretePomdp, config: ExperimentConfig,
 
 
 def run_variant(model: DiscretePomdp, config: ExperimentConfig, adaptive: bool,
-                out_dir: Path = None, workers: int = 4) -> RunSummary:
+                out_dir: Path = None) -> RunSummary:
+    """One arm over the configured seeds, in order; a failed seed is recorded
+    with its error and the run continues."""
     variant = "treatment" if adaptive else "baseline"
-    results = {}
-    errors = []
-
-    def one(seed):
-        return seed, _run_episode(model, config, adaptive, seed)
-
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for future in [pool.submit(one, s) for s in config.seeds]:
-            try:
-                seed, payload = future.result()
-                results[seed] = payload
-            except Exception as exc:   # recorded, run continues
-                errors.append(("?", f"{type(exc).__name__}: {exc}"))
-
-    returns, planning, skip_ratios, open_fracs = [], [], [], []
+    summary = RunSummary(variant, [], [], [], [], [], [])
     for seed in config.seeds:
-        if seed not in results:
+        try:
+            trace, plan_time, _, stats = _run_episode(model, config, adaptive,
+                                                      seed)
+        except Exception as exc:   # recorded, run continues
+            summary.errors.append((seed, f"{type(exc).__name__}: {exc}"))
             continue
-        trace, plan_time, _, stats = results[seed]
-        returns.append(trace.total_reward)
-        planning.append(plan_time)
-        skip_ratios.append(trace.skip_ratio)
-        open_fracs.extend(stats.get("open_fractions", []))
+        summary.seeds.append(seed)
+        summary.returns.append(trace.total_reward)
+        summary.planning_times.append(plan_time)
+        summary.skip_ratios.append(trace.skip_ratio)
+        summary.open_fractions.append(stats.get("open_fractions", []))
         if out_dir is not None:
             path = Path(out_dir) / f"{variant}_seed{seed}.csv"
             path.write_text(_trace_text(trace))
-    return RunSummary(variant, returns, planning, skip_ratios, open_fracs,
-                      errors)
+    return summary
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   workers: int = 4) -> PairedResult:
-    """Paired baseline/treatment run on matched environment seeds."""
+def run_experiment(config: ExperimentConfig, out_dir=None) -> PairedResult:
+    """Paired baseline/treatment run on matched environment seeds.
+
+    Speedup and both arms' statistics cover only the seeds that both arms
+    completed."""
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
     model = _build_model(config)
-    treatment = run_variant(model, config, True, out_dir, workers)
+    treatment = run_variant(model, config, True, out_dir)
     baseline = None
     if config.run_baseline:
-        baseline = run_variant(model, config, False, out_dir, workers)
+        baseline = run_variant(model, config, False, out_dir)
+        paired = set(treatment.seeds) & set(baseline.seeds)
+        treatment = treatment.restricted_to(paired)
+        baseline = baseline.restricted_to(paired)
         if treatment.total_planning_time > 0.0:
             treatment.speedup = (baseline.total_planning_time
                                  / treatment.total_planning_time)
@@ -469,19 +478,3 @@ def emit_plot_data(trace_paths, out_dir) -> dict:
         budget_path.write_text("\n".join(lines) + "\n")
         files["budget"] = budget_path
     return files
-
-
-def bound_distribution_data(model: DiscretePomdp, belief: ParticleBelief,
-                            topology: Topology, config: SparseConfig,
-                            out_path) -> Path:
-    """Per-action estimated bound pairs plus the exact Q for reference."""
-    pairs = solve_root(model, belief, topology, config)
-    exact_belief = ExactBelief(belief.to_histogram(model.num_states))
-    lines = ["action,lb,ub,baseline_q"]
-    for a in sorted(pairs):
-        q = exact_q_star(model, exact_belief, a, config.horizon)
-        lines.append(f"{a}," + FMT.format(pairs[a].lower) + ","
-                     + FMT.format(pairs[a].upper) + "," + FMT.format(q))
-    out_path = Path(out_path)
-    out_path.write_text("\n".join(lines) + "\n")
-    return out_path

@@ -9,12 +9,12 @@ action is provably optimal for the original POMDP.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .core import DiscretePomdp, ExactBelief
 from .oracle import exact_aol_value, exact_afo_value
-from .topology import (OPEN, Topology, enumerate_keys, key_depth)
+from .topology import (OPEN, Topology, enumerate_keys, key_depth,
+                       refine_topology)
 
 
 @dataclass(frozen=True)
@@ -62,28 +62,13 @@ class ExactEvaluator:
 
 
 def compute_bounds(model: DiscretePomdp, belief, topology: Topology,
-                   horizon: int, evaluator, parallel: bool = False) -> dict:
-    """Per-action (lower, upper) bound pairs under one topology.
-
-    The lower and upper evaluations are independent of each other and may run
-    as two concurrent tasks; inputs are immutable so this never changes the
-    result.
-    """
+                   horizon: int, evaluator) -> dict:
+    """Per-action (lower, upper) bound pairs under one topology."""
     actions = range(model.num_actions)
-    if parallel:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            lows = pool.submit(
-                lambda: [evaluator.lower(model, belief, a, topology, horizon)
-                         for a in actions])
-            highs = pool.submit(
-                lambda: [evaluator.upper(model, belief, a, topology, horizon)
-                         for a in actions])
-            lower_vals, upper_vals = lows.result(), highs.result()
-    else:
-        lower_vals = [evaluator.lower(model, belief, a, topology, horizon)
-                      for a in actions]
-        upper_vals = [evaluator.upper(model, belief, a, topology, horizon)
-                      for a in actions]
+    lower_vals = [evaluator.lower(model, belief, a, topology, horizon)
+                  for a in actions]
+    upper_vals = [evaluator.upper(model, belief, a, topology, horizon)
+                  for a in actions]
     meta = getattr(evaluator, "estimation_meta", None)
     return {a: BoundPair(lower_vals[a], upper_vals[a], a, topology.topology_id,
                          meta() if callable(meta) else None)
@@ -149,8 +134,7 @@ class PlanResult:
 def plan_with_guarantees(model: DiscretePomdp, belief, initial_topology: Topology,
                          horizon: int, evaluator, refinement_policy=None,
                          max_refinements: int = 32, slack: float = 0.0,
-                         flips_per_refinement: int = 1,
-                         parallel: bool = False) -> PlanResult:
+                         flips_per_refinement: int = 1) -> PlanResult:
     """Loop: compute bounds, check separation, refine the topology.
 
     On refinement exhaustion the action with the greatest lower bound is
@@ -163,8 +147,7 @@ def plan_with_guarantees(model: DiscretePomdp, belief, initial_topology: Topolog
     bound_trace = []
     bound_map = {}
     for iteration in range(max_refinements + 1):
-        bound_map = compute_bounds(model, belief, topology, horizon, evaluator,
-                                   parallel=parallel)
+        bound_map = compute_bounds(model, belief, topology, horizon, evaluator)
         for a, pair in sorted(bound_map.items()):
             bound_trace.append((iteration, a, pair.lower, pair.upper,
                                 topology.topology_id))
@@ -178,9 +161,7 @@ def plan_with_guarantees(model: DiscretePomdp, belief, initial_topology: Topolog
                                       flips_per_refinement)
         if not selection:
             break
-        for key in sorted(set(selection), key=lambda k: (key_depth(k), k)):
-            if topology.beta(key) == OPEN:
-                topology = topology.flip_to_closed(key, model.num_observations)
+        topology = refine_topology(topology, selection, model.num_observations)
         trace.append(topology)
     fallback = max(sorted(bound_map), key=lambda a: (bound_map[a].lower, -a))
     return PlanResult(fallback, check_separation(bound_map, slack), trace,

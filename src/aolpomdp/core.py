@@ -204,19 +204,6 @@ def propagate_open_loop(model: DiscretePomdp, belief: ExactBelief,
     return ExactBelief(p)
 
 
-def particle_update(model: DiscretePomdp, belief: ParticleBelief, action: int,
-                    observation: int, rng: np.random.Generator) -> ParticleBelief:
-    """Bootstrap particle filter step: sample transitions, reweight by likelihood."""
-    cdf = np.cumsum(model.transition[action][belief.states], axis=1)
-    draws = rng.random(belief.num_particles)
-    next_states = (cdf < draws[:, None]).sum(axis=1)
-    weights = belief.weights * model.observation[next_states, observation]
-    if float(weights.sum()) <= 0.0:
-        raise ParticleDepletionError(
-            f"observation {observation} is impossible for every sampled particle")
-    return ParticleBelief(next_states, weights)
-
-
 def sample_transitions(model: DiscretePomdp, states: np.ndarray, action: int,
                        rng: np.random.Generator) -> np.ndarray:
     """Sample one successor for each state in `states` under `action`."""

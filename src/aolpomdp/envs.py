@@ -7,11 +7,11 @@ that would leave the grid or enter an obstacle folds into staying in place.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscretePomdp, ExactBelief
+from .core import DiscretePomdp
 
 ACTIONS = ((0, -1), (0, 1), (-1, 0), (1, 0))   # up, down, left, right
 ACTION_NAMES = ("up", "down", "left", "right")
@@ -172,13 +172,6 @@ def build_tunnel_pomdp(spec: GridWorldSpec) -> DiscretePomdp:
     return model
 
 
-def corridor_cells(spec: GridWorldSpec) -> list:
-    """Non-obstacle cells of a tunnel spec, left to right along the corridor."""
-    blocked = set(spec.obstacles)
-    return [(x, y) for y in range(spec.height) for x in range(spec.width)
-            if (x, y) not in blocked]
-
-
 @dataclass
 class GridEnvironment:
     """Single-owner stepping environment over a built model."""
@@ -204,10 +197,6 @@ class GridEnvironment:
         observation = int(self.rng.choice(
             self.model.num_observations, p=self.model.observation[self.state]))
         self.steps += 1
-        done = (self.spec.cell(self.state) == spec_goal(self.spec)
+        done = (self.spec.cell(self.state) == self.spec.goal
                 or self.steps >= self.step_limit)
         return observation, reward, done
-
-
-def spec_goal(spec: GridWorldSpec):
-    return spec.goal

@@ -1,102 +1,9 @@
-"""Text serialization for models and experiment configuration documents.
+"""Parsing of experiment configuration documents.
 
-Model format (line oriented, '#' comments allowed):
-
-    states 4
-    actions 2
-    observations 3
-    horizon 2
-    rmax 1.0
-    initial 0 0.5
-    transition 0 0 1 0.75      # action state next_state probability
-    observation 1 2 0.4        # state observation probability
-    reward 0 1 -0.5            # state action value
-
-Omitted triples are zero.  Config documents are flat ``dotted.key value``
-lines; list values are comma separated.
+Config documents are flat ``dotted.key value`` lines ('#' comments allowed);
+list values are comma separated.
 """
 from __future__ import annotations
-
-import numpy as np
-
-from .core import DiscretePomdp
-
-
-def dump_model(model: DiscretePomdp) -> str:
-    lines = [
-        f"states {model.num_states}",
-        f"actions {model.num_actions}",
-        f"observations {model.num_observations}",
-        f"horizon {model.horizon}",
-        f"rmax {model.r_max:.17g}",
-    ]
-    for s, p in enumerate(model.initial_belief):
-        if p > 0.0:
-            lines.append(f"initial {s} {p:.17g}")
-    for a in range(model.num_actions):
-        for s in range(model.num_states):
-            for sp in np.flatnonzero(model.transition[a, s]):
-                lines.append(
-                    f"transition {a} {s} {sp} {model.transition[a, s, sp]:.17g}")
-    for s in range(model.num_states):
-        for z in np.flatnonzero(model.observation[s]):
-            lines.append(f"observation {s} {z} {model.observation[s, z]:.17g}")
-    for s in range(model.num_states):
-        for a in range(model.num_actions):
-            if model.reward[s, a] != 0.0:
-                lines.append(f"reward {s} {a} {model.reward[s, a]:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def load_model(text: str) -> DiscretePomdp:
-    scalars = {}
-    triples = {"initial": [], "transition": [], "observation": [], "reward": []}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        key = parts[0]
-        try:
-            if key in ("states", "actions", "observations", "horizon"):
-                scalars[key] = int(parts[1])
-            elif key == "rmax":
-                scalars[key] = float(parts[1])
-            elif key in triples:
-                *idx, value = parts[1:]
-                triples[key].append(tuple(int(i) for i in idx) + (float(value),))
-            else:
-                raise ValueError(f"unknown key {key!r}")
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"line {lineno}: {exc}") from None
-    missing = {"states", "actions", "observations", "horizon", "rmax"} - set(scalars)
-    if missing:
-        raise ValueError(f"missing keys: {sorted(missing)}")
-    n, na, nz = scalars["states"], scalars["actions"], scalars["observations"]
-    transition = np.zeros((na, n, n))
-    for a, s, sp, p in triples["transition"]:
-        transition[a, s, sp] = p
-    observation = np.zeros((n, nz))
-    for s, z, p in triples["observation"]:
-        observation[s, z] = p
-    reward = np.zeros((n, na))
-    for s, a, v in triples["reward"]:
-        reward[s, a] = v
-    initial = np.zeros(n)
-    for s, p in triples["initial"]:
-        initial[s] = p
-    return DiscretePomdp(transition, observation, reward, initial,
-                         scalars["horizon"], scalars["rmax"])
-
-
-def save_model(model: DiscretePomdp, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dump_model(model))
-
-
-def read_model(path) -> DiscretePomdp:
-    with open(path) as fh:
-        return load_model(fh.read())
 
 
 def parse_config(text: str) -> dict:
@@ -111,10 +18,6 @@ def parse_config(text: str) -> dict:
         key, value = line.split(None, 1)
         out[key] = value.strip()
     return out
-
-
-def dump_config(config: dict) -> str:
-    return "".join(f"{k} {config[k]}\n" for k in sorted(config))
 
 
 def config_int(config: dict, key: str, default=None) -> int:

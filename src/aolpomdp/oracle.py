@@ -7,11 +7,9 @@ branches enumerate every next state with its exact transition probability.
 """
 from __future__ import annotations
 
-import numpy as np
-
-from .core import (DiscretePomdp, ExactBelief, PROB_TOL, exact_bayes_update,
-                   expected_reward, observation_predictive, propagate_open_loop)
-from .topology import (AugmentedHistory, CLOSED, NodeBudgetError, OPEN, Topology)
+from .core import DiscretePomdp, ExactBelief, expected_reward
+from .topology import (AugmentedHistory, NodeBudgetError, Topology,
+                       exact_children)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -35,34 +33,12 @@ def _q_value(model: DiscretePomdp, belief: ExactBelief, action: int,
     immediate = expected_reward(model, belief, action)
     if depth + 1 >= end_depth:
         return immediate
-    beta = topology.beta(history.key)
-    if beta == OPEN and kind == "aol":
-        child_h = history.extended_open(action)
-        child_b = propagate_open_loop(model, belief, [action])
-        future = max(_q_value(model, child_b, a, child_h, depth + 1, end_depth,
-                              topology, kind, budget)
-                     for a in range(model.num_actions))
-        return immediate + future
-    if beta == OPEN and kind == "afo":
-        propagated = model.transition[action].T @ belief.probabilities
-        future = 0.0
-        for x in np.flatnonzero(propagated > 0.0):
-            child_h = history.extended_fully_observable(action, int(x))
-            child_b = ExactBelief.point_mass(int(x), model.num_states)
-            best = max(_q_value(model, child_b, a, child_h, depth + 1, end_depth,
-                                topology, kind, budget)
-                       for a in range(model.num_actions))
-            future += float(propagated[x]) * best
-        return immediate + future
-    predictive = observation_predictive(model, belief, action)
     future = 0.0
-    for z in np.flatnonzero(predictive > PROB_TOL):
-        posterior, p_z = exact_bayes_update(model, belief, action, int(z))
-        child_h = history.extended_closed(action, int(z))
-        best = max(_q_value(model, posterior, a, child_h, depth + 1, end_depth,
-                            topology, kind, budget)
-                   for a in range(model.num_actions))
-        future += p_z * best
+    for p, child_h, child_b in exact_children(
+            model, belief, history, action, topology.beta(history.key), kind):
+        future += p * max(_q_value(model, child_b, a, child_h, depth + 1,
+                                   end_depth, topology, kind, budget)
+                          for a in range(model.num_actions))
     return immediate + future
 
 
@@ -99,10 +75,3 @@ def exact_continuation_value(model: DiscretePomdp, belief: ExactBelief,
     """Exact value of a subtree rooted mid-tree (used by extended-horizon Q)."""
     return _q_value(model, belief, action, start_history, start_depth, end_depth,
                     topology, kind, _Budget(node_budget))
-
-
-def exact_best_action(model: DiscretePomdp, belief: ExactBelief,
-                      horizon: int) -> int:
-    values = [exact_q_star(model, belief, a, horizon)
-              for a in range(model.num_actions)]
-    return int(np.argmax(values))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscretePomdp, ExactBelief, ParticleBelief
-from .topology import AugmentedHistory, CLOSED, OPEN, Topology, key_depth
+from .topology import (AugmentedHistory, OPEN, Topology, key_depth,
+                       refine_topology)
 
 
 @dataclass(frozen=True)
@@ -30,8 +31,6 @@ class PomcpConfig:
     time_budget_ms: float = None
     transition_flips: int = 1        # nodes flipped per topology transition
     adapt_topology: bool = True
-    recommend_by: str = "value"      # "value" or "visits"
-    kind: str = "aol"                # history updater at simplified nodes
 
     def __post_init__(self):
         if self.num_simulations is None and self.time_budget_ms is None:
@@ -44,7 +43,6 @@ class PomcpConfig:
 @dataclass
 class SearchNode:
     visits: int = 0
-    particles: list = field(default_factory=list)
     action_visits: np.ndarray = None
     action_values: np.ndarray = None
 
@@ -88,9 +86,7 @@ def random_topo_transition(topology: Topology, visited_keys, num_observations: i
     chosen = rng.choice(len(candidates), size=min(flips, len(candidates)),
                         replace=False)
     flipped = [candidates[int(i)] for i in chosen]
-    for key in sorted(flipped, key=lambda k: (key_depth(k), k)):
-        topology = topology.flip_to_closed(key, num_observations)
-    return topology, flipped, False
+    return refine_topology(topology, flipped, num_observations), flipped, False
 
 
 class AtPomcp:
@@ -178,15 +174,11 @@ class AtPomcp:
         next_state, obs, reward = self._generate(state, action)
         self._maybe_adapt(sim_index)
         if self.topology.beta(key) == OPEN:
-            if self.config.kind == "afo":
-                child = history.extended_fully_observable(action, next_state)
-            else:
-                child = history.extended_open(action)
+            child = history.extended_open(action)
         else:
             child = history.extended_closed(action, obs)
         future = self.simulate(next_state, child, depth + 1, sim_index)
         total = reward + future
-        node.particles.append(state)
         node.visits += 1
         node.action_visits[action] += 1
         node.action_values[action] += (
@@ -224,19 +216,11 @@ class AtPomcp:
             self.simulate(sampler(), root, 0, sim_index)
         self.diagnostics.simulations = sim_index - 1
         root_node = self._node(root.key)
-        if self.config.recommend_by == "visits":
-            best = int(np.argmax(root_node.action_visits))
-        else:
-            visited = root_node.action_visits > 0
-            values = np.where(visited, root_node.action_values, -np.inf)
-            best = int(np.argmax(values)) if visited.any() else 0
+        visited = root_node.action_visits > 0
+        values = np.where(visited, root_node.action_values, -np.inf)
+        best = int(np.argmax(values)) if visited.any() else 0
         return SearchResult(best, float(root_node.action_values[best]),
                             root_node.action_values.copy(),
                             root_node.action_visits.copy(),
                             self.diagnostics, self.topology)
 
-
-def search(model: DiscretePomdp, root_belief, config: PomcpConfig,
-           initial_topology: Topology = None) -> SearchResult:
-    """One-shot search entry point."""
-    return AtPomcp(model, config, initial_topology).search(root_belief)

@@ -11,15 +11,13 @@ which is what certifies executing future actions without replanning.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bounds import BoundPair, SeparationResult, check_separation
 from .core import (DiscretePomdp, ExactBelief, expected_reward,
-                   observation_predictive, propagate_open_loop,
-                   reachable_states, exact_bayes_update)
+                   propagate_open_loop, reachable_states, exact_bayes_update)
 from .oracle import exact_continuation_value
 from .topology import AugmentedHistory, OPEN, Topology, TopologyContractError
 
@@ -222,8 +220,6 @@ class SkipConfig:
     max_skip_depth: int = 2
     allowed_top_m: int = 4
     plan_horizon: int = None
-    execution_duration: float = None   # declared seconds per action, reporting only
-    use_allowed_sets: bool = True
 
 
 @dataclass
@@ -261,10 +257,9 @@ def execute_with_skipping(model: DiscretePomdp, environment, planner,
     execute them without replanning while the realized observation stays in
     the allowed set.
 
-    The SRG check is issued concurrently with action execution; correctness
-    never depends on it finishing in time (a late certificate just means the
-    next step replans), but its wall time is recorded against the declared
-    execution duration.
+    After each planned step that does not end the episode, the SRG check runs
+    on the belief the action was planned at; `srg_time` records its compute
+    time.
     """
     if skip_config.enabled and float(model.reward.min()) < 0.0:
         raise PositivityError(
@@ -275,57 +270,43 @@ def execute_with_skipping(model: DiscretePomdp, environment, planner,
     cumulative = 0.0
     step = 0
     done = False
-    pool = ThreadPoolExecutor(max_workers=1)
-    try:
-        while not done:
-            t0 = time.perf_counter()
-            action = planner(belief, step)
-            planning_time = time.perf_counter() - t0
-            certificate = None
-            srg_future = None
-            srg_time = 0.0
-            if skip_config.enabled:
-                depth = skip_config.max_skip_depth
-                top_m = (skip_config.allowed_top_m
-                         if skip_config.use_allowed_sets else None)
-                topo = Topology(default_mode=OPEN, forced_open_depth=depth)
-                snapshot = belief
-                srg_future = pool.submit(
-                    check_srg, model, snapshot, action, depth, topo, None,
-                    skip_config.plan_horizon or model.horizon, top_m)
-            observation, reward, done = environment.step(action)
-            cumulative += reward
-            trace.rows.append(TraceRow(step, action, observation, True, False,
-                                       reward, cumulative, planning_time, 0.0))
-            belief = _track(model, belief, action, observation)
-            step += 1
-            if srg_future is None or done:
-                if srg_future is not None:
-                    srg_future.cancel()
-                continue
+    while not done:
+        t0 = time.perf_counter()
+        action = planner(belief, step)
+        planning_time = time.perf_counter() - t0
+        observation, reward, done = environment.step(action)
+        cumulative += reward
+        trace.rows.append(TraceRow(step, action, observation, True, False,
+                                   reward, cumulative, planning_time, 0.0))
+        certificate = None
+        if skip_config.enabled and not done:
+            depth = skip_config.max_skip_depth
             t1 = time.perf_counter()
-            certificate = srg_future.result()
-            srg_time = time.perf_counter() - t1
-            trace.rows[-1].srg_time = srg_time
+            certificate = check_srg(
+                model, belief, action, depth,
+                Topology(default_mode=OPEN, forced_open_depth=depth), None,
+                skip_config.plan_horizon or model.horizon,
+                skip_config.allowed_top_m)
+            trace.rows[-1].srg_time = time.perf_counter() - t1
             trace.certificates.append(certificate)
-            for i, srg_step in enumerate(certificate.steps, start=1):
-                if done or srg_step.status != "separated":
-                    break
-                allowed = (certificate.allowed_observation_sets[i - 1]
-                           if i - 1 < len(certificate.allowed_observation_sets)
-                           else frozenset(range(model.num_observations)))
-                if observation not in allowed:
-                    break
-                skip_action = srg_step.action
-                observation, reward, done = environment.step(skip_action)
-                cumulative += reward
-                trace.rows.append(TraceRow(step, skip_action, observation,
-                                           observation in allowed, True,
-                                           reward, cumulative, 0.0, 0.0))
-                belief = _track(model, belief, skip_action, observation)
-                step += 1
-    finally:
-        pool.shutdown(wait=False)
+        belief = _track(model, belief, action, observation)
+        step += 1
+        if certificate is None:
+            continue
+        for i, srg_step in enumerate(certificate.steps, start=1):
+            if done or srg_step.status != "separated":
+                break
+            allowed = certificate.allowed_observation_sets[i - 1]
+            if observation not in allowed:
+                break
+            skip_action = srg_step.action
+            observation, reward, done = environment.step(skip_action)
+            cumulative += reward
+            trace.rows.append(TraceRow(step, skip_action, observation,
+                                       observation in allowed, True,
+                                       reward, cumulative, 0.0, 0.0))
+            belief = _track(model, belief, skip_action, observation)
+            step += 1
     return trace
 
 

@@ -184,19 +184,3 @@ class SparsePftEvaluator:
         return SparseConfig(self.config.num_particles,
                             self.config.num_observations, horizon,
                             self.config.seed, self.config.num_state_branches)
-
-
-def solve_root(model: DiscretePomdp, root_belief: ParticleBelief,
-               topology: Topology, config: SparseConfig,
-               evaluator: SparsePftEvaluator = None) -> dict:
-    """Estimated (lower, upper) pairs for every root action."""
-    from .bounds import BoundPair
-
-    evaluator = evaluator or SparsePftEvaluator(config)
-    pairs = {}
-    for a in range(model.num_actions):
-        lb = evaluator.lower(model, root_belief, a, topology, config.horizon)
-        ub = evaluator.upper(model, root_belief, a, topology, config.horizon)
-        pairs[a] = BoundPair(lb, ub, a, topology.topology_id,
-                             evaluator.estimation_meta())
-    return pairs

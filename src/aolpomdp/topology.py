@@ -1,4 +1,5 @@
-"""Augmented histories, belief-tree topologies, and topology refinement.
+"""Augmented histories, belief-tree topologies, topology refinement, and the
+exact child expansion of a belief-tree node.
 
 A topology assigns each tree node a binary mode: 1 means the node's children
 are generated by the simplified updater (open-loop for lower bounds, fully
@@ -77,9 +78,6 @@ class Topology:
     def __post_init__(self):
         object.__setattr__(self, "_map", dict(self.assignment))
 
-    def _lookup(self) -> dict:
-        return dict(self._map)
-
     def beta(self, key: tuple) -> int:
         if key_depth(key) < self.forced_open_depth:
             return OPEN
@@ -98,12 +96,6 @@ class Topology:
                         forced_open_depth: int = 0) -> "Topology":
         items = tuple(sorted(mapping.items()))
         return cls(items, default_mode, forced_open_depth)
-
-    def with_beta(self, key: tuple, beta: int) -> "Topology":
-        mapping = self._lookup()
-        mapping[key] = beta
-        return Topology.from_assignment(mapping, self.default_mode,
-                                        self.forced_open_depth)
 
     def flip_to_closed(self, key: tuple, num_observations: int) -> "Topology":
         """Switch `key` to closed-loop, re-keying its descendants.
@@ -127,15 +119,6 @@ class Topology:
         mapping[key] = CLOSED
         return Topology.from_assignment(mapping, self.default_mode,
                                         self.forced_open_depth)
-
-    def suffix(self, prefix_key: tuple) -> "Topology":
-        """Topology for the subtree rooted at `prefix_key` (keys re-rooted)."""
-        mapping = {}
-        for old_key, beta in self.assignment:
-            if old_key[:len(prefix_key)] == prefix_key:
-                mapping[old_key[len(prefix_key):]] = beta
-        forced = max(0, self.forced_open_depth - key_depth(prefix_key))
-        return Topology.from_assignment(mapping, self.default_mode, forced)
 
     def is_open_prefix(self, depth: int, action_chain) -> bool:
         """True if every node along the given action chain up to `depth` is open."""
@@ -185,27 +168,6 @@ class Topology:
         return cls.from_assignment(mapping, default_mode, forced)
 
 
-def update_history_aol(topology: Topology, history: AugmentedHistory, action: int,
-                       observation: int) -> AugmentedHistory:
-    """Adaptive open-loop updater: drop the observation at open nodes."""
-    if topology.beta(history.key) == OPEN:
-        return history.extended_open(action)
-    return history.extended_closed(action, observation)
-
-
-def update_history_afo(topology: Topology, history: AugmentedHistory, action: int,
-                       outcome: int, state: bool = None) -> AugmentedHistory:
-    """Adaptive fully-observable updater: record the true state at open nodes.
-
-    `outcome` is the next state when the node is simplified, the observation
-    otherwise; passing `state` explicitly lets callers provide both.
-    """
-    if topology.beta(history.key) == OPEN:
-        next_state = outcome if state is None else state
-        return history.extended_fully_observable(action, next_state)
-    return history.extended_closed(action, observation=outcome)
-
-
 def enumerate_keys(topology: Topology, num_actions: int, num_observations: int,
                    horizon: int):
     """All node keys reachable under a topology, over the full observation space."""
@@ -246,8 +208,44 @@ def random_topology(num_actions: int, num_observations: int, horizon: int,
     return Topology.from_assignment(mapping, default_mode=CLOSED)
 
 
-MODE_NAMES = {("aol", OPEN): "open-loop", ("afo", OPEN): "fully-observable",
-              ("aol", CLOSED): "closed-loop", ("afo", CLOSED): "closed-loop"}
+
+
+def refine_topology(topology: Topology, selection,
+                    num_observations: int) -> Topology:
+    """Close the selected nodes that are still open, shallowest first."""
+    for key in sorted(set(selection), key=lambda k: (key_depth(k), k)):
+        if topology.beta(key) == OPEN:
+            topology = topology.flip_to_closed(key, num_observations)
+    return topology
+
+
+def exact_children(model: DiscretePomdp, belief: ExactBelief,
+                   history: AugmentedHistory, action: int, beta: int,
+                   kind: str):
+    """Yield (probability, child history, child belief) for every branch of
+    taking `action` at a node of mode `beta`.
+
+    Open nodes of the lower-bound tree (`kind` "aol") have one child, the
+    open-loop propagated belief; open nodes of the upper-bound tree ("afo")
+    branch on each reachable next state with a point-mass belief; closed
+    nodes branch on each observation of non-negligible predictive
+    probability with its Bayes posterior.
+    """
+    if beta == OPEN and kind == "aol":
+        yield (1.0, history.extended_open(action),
+               propagate_open_loop(model, belief, [action]))
+    elif beta == OPEN:
+        propagated = model.transition[action].T @ belief.probabilities
+        for x in np.flatnonzero(propagated > 0.0):
+            yield (float(propagated[x]),
+                   history.extended_fully_observable(action, int(x)),
+                   ExactBelief.point_mass(int(x), model.num_states))
+    else:
+        predictive = observation_predictive(model, belief, action)
+        for z in np.flatnonzero(predictive > PROB_TOL):
+            posterior, evidence = exact_bayes_update(model, belief, action,
+                                                     int(z))
+            yield evidence, history.extended_closed(action, int(z)), posterior
 
 
 @dataclass
@@ -255,24 +253,11 @@ class BeliefTreeNode:
     history: AugmentedHistory
     belief: ExactBelief
     depth: int
-    mode: str
-    children: dict = field(default_factory=dict)
-    cached: bool = False
-    visits: int = 0
-    value: float = 0.0
 
 
 @dataclass
 class BeliefTree:
-    model: DiscretePomdp
-    topology: Topology
-    horizon: int
-    kind: str                     # "aol" or "afo"
     nodes: dict = field(default_factory=dict)
-
-    @property
-    def root(self) -> BeliefTreeNode:
-        return self.nodes[()]
 
     def depth_counts(self) -> dict:
         counts = {}
@@ -282,100 +267,31 @@ class BeliefTree:
 
 
 def build_tree(model: DiscretePomdp, root_belief: ExactBelief, topology: Topology,
-               horizon: int, branch_budget: int = 10 ** 6, kind: str = "aol",
-               reuse: BeliefTree = None) -> BeliefTree:
-    """Enumerate the belief tree for a topology (exact branches, no sampling).
+               horizon: int, branch_budget: int = 10 ** 6,
+               kind: str = "aol") -> BeliefTree:
+    """Enumerate the belief tree that the oracle evaluates for a topology.
 
-    Nodes are keyed by augmented history; sibling observation branches of an
-    open node merge into a single child by construction.  When `reuse` is
-    given, nodes whose key and mode are unchanged adopt the previous node
-    object and are marked cached.
+    Nodes are keyed by augmented history, so sibling observation branches of
+    an open node merge into a single child by construction.
     """
-    tree = BeliefTree(model, topology, horizon, kind)
+    tree = BeliefTree()
     root = AugmentedHistory()
-    tree.nodes[()] = BeliefTreeNode(root, root_belief, 0,
-                                    MODE_NAMES[(kind, topology.beta(()))])
+    tree.nodes[()] = BeliefTreeNode(root, root_belief, 0)
     frontier = [(root, root_belief)]
     count = 1
     for depth in range(horizon):
         nxt = []
         for history, belief in frontier:
             beta = topology.beta(history.key)
-            mode = MODE_NAMES[(kind, beta)]
-            node = tree.nodes[history.key]
             for a in range(model.num_actions):
-                if beta == OPEN and kind == "aol":
-                    child_h = history.extended_open(a)
-                    child_b = propagate_open_loop(model, belief, [a])
-                    branches = [(a, child_h, child_b)]
-                elif beta == OPEN:
-                    propagated = model.transition[a].T @ belief.probabilities
-                    branches = []
-                    for x in np.flatnonzero(propagated > 0.0):
-                        child_h = history.extended_fully_observable(a, int(x))
-                        child_b = ExactBelief.point_mass(int(x), model.num_states)
-                        branches.append(((a, int(x)), child_h, child_b))
-                else:
-                    predictive = observation_predictive(model, belief, a)
-                    branches = []
-                    for z in np.flatnonzero(predictive > PROB_TOL):
-                        child_h = history.extended_closed(a, int(z))
-                        child_b, _ = exact_bayes_update(model, belief, a, int(z))
-                        branches.append(((a, int(z)), child_h, child_b))
-                for child_key_part, child_h, child_b in branches:
+                for _, child_h, child_b in exact_children(model, belief, history,
+                                                          a, beta, kind):
                     count += 1
                     if count > branch_budget:
                         raise NodeBudgetError(
                             f"tree exceeds branch budget {branch_budget}")
-                    child_mode = MODE_NAMES[(kind, topology.beta(child_h.key))]
-                    reused = None
-                    if reuse is not None:
-                        prev = reuse.nodes.get(child_h.key)
-                        if prev is not None and prev.mode == child_mode:
-                            reused = prev
-                            reused.cached = True
-                    child_node = reused or BeliefTreeNode(child_h, child_b,
-                                                          depth + 1, child_mode)
-                    tree.nodes[child_h.key] = child_node
-                    node.children[child_key_part] = child_h.key
-                    nxt.append((child_h, child_node.belief))
+                    tree.nodes[child_h.key] = BeliefTreeNode(child_h, child_b,
+                                                             depth + 1)
+                    nxt.append((child_h, child_b))
         frontier = nxt
     return tree
-
-
-@dataclass
-class RefineReport:
-    flipped: list
-    noops: list
-    invalidated_count: int
-    cached_count: int
-
-    @property
-    def cache_retention(self) -> float:
-        total = self.invalidated_count + self.cached_count
-        return self.cached_count / total if total else 1.0
-
-
-def refine_topology(topology: Topology, tree: BeliefTree, selection):
-    """Flip the selected open nodes to closed-loop (both bound assignments).
-
-    Returns the refined topology and a transition report; callers rebuild the
-    tree with `build_tree(..., reuse=tree)` to retrieve unchanged nodes from
-    the cache.
-    """
-    flipped, noops = [], []
-    new_topology = topology
-    for key in sorted(set(selection), key=lambda k: (key_depth(k), k)):
-        if new_topology.beta(key) == CLOSED:
-            noops.append(key)
-            continue
-        new_topology = new_topology.flip_to_closed(key, tree.model.num_observations)
-        flipped.append(key)
-    invalidated = 0
-    cached = 0
-    for key in tree.nodes:
-        if any(key[:len(f)] == f for f in flipped):
-            invalidated += 1
-        else:
-            cached += 1
-    return new_topology, RefineReport(flipped, noops, invalidated, cached)

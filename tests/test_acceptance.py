@@ -282,7 +282,7 @@ def test_criterion_08_sparse_solver_speedup():
                               num_state_branches=1, plan_horizon=3,
                               max_refinements=2, steps=10,
                               seeds=list(range(20)))
-    result = run_experiment(config, workers=1)
+    result = run_experiment(config)
     t, b = result.treatment, result.baseline
     diff = abs(t.mean_return - b.mean_return)
     pooled = pooled_std(t.std_return, b.std_return)
@@ -304,7 +304,7 @@ def test_criterion_09_mcts_return_under_time_budget():
                                   time_budget_ms=budget, ucb_constant=1.0,
                                   pw_k=1000.0, pw_alpha=1.0, steps=5,
                                   seeds=list(range(20)))
-        result = run_experiment(config, workers=1)
+        result = run_experiment(config)
         t, b = result.treatment, result.baseline
         details.append(f"{budget:.0f}ms:{t.mean_return:.3f}>="
                        f"{b.mean_return:.3f}")
@@ -321,7 +321,7 @@ def test_criterion_10_skip_replanning_on_tunnel():
         max_refinements=4, steps=5, seeds=list(range(50)),
         skip=SkipConfig(enabled=True, max_skip_depth=2, allowed_top_m=4,
                         plan_horizon=2))
-    result = run_experiment(config, workers=4)
+    result = run_experiment(config)
     t, b = result.treatment, result.baseline
     diff = abs(t.mean_return - b.mean_return)
     pooled = pooled_std(t.std_return, b.std_return)

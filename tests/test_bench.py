@@ -1,13 +1,11 @@
-import numpy as np
 import pytest
 
-from aolpomdp import DiscretePomdp
+from aolpomdp import bench
 from aolpomdp.bench import (ExperimentConfig, emit_plot_data, run_experiment,
                             run_oracle_suite)
 from aolpomdp.cli import main as cli_main
 from aolpomdp.envs import GridWorldSpec
-from aolpomdp.modelio import dump_model, load_model, parse_config
-from conftest import make_models
+from aolpomdp.modelio import parse_config
 
 
 def small_config(**overrides):
@@ -18,24 +16,6 @@ def small_config(**overrides):
                     max_refinements=1, steps=2, seeds=[0, 1])
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
-
-
-def test_model_round_trip():
-    for model in make_models(151, 5):
-        again = load_model(dump_model(model))
-        np.testing.assert_allclose(again.transition, model.transition,
-                                   atol=1e-8)
-        np.testing.assert_allclose(again.observation, model.observation,
-                                   atol=1e-8)
-        np.testing.assert_allclose(again.reward, model.reward, atol=1e-8)
-        np.testing.assert_allclose(again.initial_belief, model.initial_belief,
-                                   atol=1e-8)
-        assert again.horizon == model.horizon
-
-
-def test_model_load_reports_line_number():
-    with pytest.raises(ValueError, match="line 2"):
-        load_model("states 2\nbogus 1\n")
 
 
 def test_parse_config_dotted_keys():
@@ -57,6 +37,16 @@ def test_config_from_document_and_seed_override():
     assert config.num_particles == 8
 
 
+def test_config_rejects_unknown_key(tmp_path):
+    text = "environment.kind beacon\nsolver.NN 8\nseeds 0\n"
+    with pytest.raises(ValueError, match="solver.NN"):
+        ExperimentConfig.from_document(text)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    assert cli_main(["run", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+
+
 def test_config_requires_seeds():
     with pytest.raises(ValueError):
         small_config(seeds=[])
@@ -71,6 +61,24 @@ def test_run_experiment_writes_traces_and_summary(tmp_path):
         assert (tmp_path / f"baseline_seed{seed}.csv").exists()
     assert result.treatment.speedup is not None
     assert len(result.treatment.returns) == 2
+
+
+def test_failed_seed_is_recorded_and_unpaired(tmp_path, monkeypatch):
+    original = bench._run_episode
+
+    def fail_seed_one(model, config, adaptive, seed):
+        if adaptive and seed == 1:
+            raise RuntimeError("injected")
+        return original(model, config, adaptive, seed)
+
+    monkeypatch.setattr(bench, "_run_episode", fail_seed_one)
+    result = run_experiment(small_config(), out_dir=tmp_path)
+    t, b = result.treatment, result.baseline
+    assert t.errors == [(1, "RuntimeError: injected")]
+    assert "error seed=1 RuntimeError: injected" in result.summary_text()
+    assert t.seeds == b.seeds == [0]
+    assert len(t.returns) == len(b.returns) == 1
+    assert t.speedup == b.planning_times[0] / t.planning_times[0]
 
 
 def strip_times(text):

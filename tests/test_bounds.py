@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from aolpomdp import (BoundPair, ExactBelief, ExactEvaluator, Topology,
-                      check_separation, compute_bounds, exact_q_star,
-                      plan_with_guarantees)
+                      check_separation, exact_q_star, plan_with_guarantees)
 from conftest import make_models
 
 
@@ -36,18 +35,6 @@ def test_upper_bound_ties_break_to_lowest_action():
     result = check_separation({0: pair(0, 4.0, 4.0), 1: pair(1, 4.0, 4.0)})
     assert result.separated
     assert result.optimal_action == 0
-
-
-def test_compute_bounds_parallel_matches_serial(tiger_like):
-    belief = ExactBelief(np.array([0.5, 0.5]))
-    evaluator = ExactEvaluator()
-    serial = compute_bounds(tiger_like, belief, Topology.fully_open(), 2,
-                            evaluator)
-    parallel = compute_bounds(tiger_like, belief, Topology.fully_open(), 2,
-                              evaluator, parallel=True)
-    for a in serial:
-        assert serial[a].lower == parallel[a].lower
-        assert serial[a].upper == parallel[a].upper
 
 
 def test_plan_reaches_separation_and_is_correct():

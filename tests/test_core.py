@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import aolpomdp
 from aolpomdp import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                       ParticleBelief, ParticleDepletionError,
                       exact_bayes_update, expected_reward,
-                      observation_predictive, particle_update,
-                      propagate_open_loop, reachable_states)
+                      observation_predictive, propagate_open_loop,
+                      reachable_states)
 from conftest import make_models
 
 
@@ -70,25 +71,9 @@ def test_total_probability_law():
                                        atol=1e-9)
 
 
-def test_particle_update_converges_to_exact(rng):
-    model = make_models(11, 1, max_states=4)[0]
-    belief = ExactBelief(model.initial_belief)
-    exact, _ = exact_bayes_update(model, belief, 0, 0)
-    particles = ParticleBelief.from_exact(belief, 10_000, rng)
-    updated = particle_update(model, particles, 0, 0, rng)
-    histogram = updated.to_histogram(model.num_states)
-    tv = 0.5 * np.abs(histogram - exact.probabilities).sum()
-    assert tv < 0.05
-
-
-def test_particle_depletion_raises(rng):
-    transition = np.array([[[1.0, 0.0], [0.0, 1.0]]])
-    observation = np.array([[1.0, 0.0], [0.0, 1.0]])
-    model = DiscretePomdp(transition, observation, np.zeros((2, 1)),
-                          np.array([1.0, 0.0]), 1, 1.0)
-    particles = ParticleBelief.from_states(np.zeros(16, dtype=int))
+def test_particle_depletion_raises():
     with pytest.raises(ParticleDepletionError):
-        particle_update(model, particles, 0, 1, rng)
+        ParticleBelief(np.zeros(16, dtype=int), np.zeros(16))
 
 
 def test_reachable_states_covers_propagated_support():
@@ -104,3 +89,9 @@ def test_beliefs_are_immutable(tiger_like):
     belief = ExactBelief(np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         belief.probabilities[0] = 1.0
+
+
+def test_package_exports_resolve():
+    missing = [name for name in aolpomdp.__all__
+               if not hasattr(aolpomdp, name)]
+    assert not missing

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from aolpomdp import (ExactBelief, Topology, exact_afo_value, exact_aol_value,
-                      exact_best_action, exact_q_star)
+                      exact_q_star)
 from aolpomdp.oracle import exact_continuation_value
 from aolpomdp.topology import AugmentedHistory, NodeBudgetError
 from conftest import make_models
@@ -65,8 +65,3 @@ def test_continuation_matches_full_value(tiger_like):
     cont = exact_continuation_value(tiger_like, belief, 0, AugmentedHistory(),
                                     0, 2, Topology.fully_closed(), "aol")
     assert cont == pytest.approx(full)
-
-
-def test_best_action(tiger_like):
-    belief = ExactBelief(np.array([0.5, 0.5]))
-    assert exact_best_action(tiger_like, belief, 2) == 0

@@ -1,11 +1,14 @@
 import itertools
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from aolpomdp import (DiscretePomdp, ExactBelief, SkipConfig, Topology,
-                      check_srg, compute_ck, exact_bayes_update, exact_q_star,
-                      execute_with_skipping, future_bounds)
+from aolpomdp import (DiscretePomdp, ExactBelief, SkipConfig, SrgCertificate,
+                      Topology, check_srg, compute_ck, exact_bayes_update,
+                      exact_q_star, execute_with_skipping, future_bounds,
+                      replan)
 from aolpomdp.core import observation_predictive
 from aolpomdp.replan import (EmptyLikelihoodSupportError, PositivityError,
                              allowed_observation_sets, prefix_rewards, q_tilde)
@@ -119,27 +122,68 @@ def test_execute_requires_positive_rewards(tiger_like):
                               SkipConfig(enabled=True))
 
 
+class _ModelEnv:
+    """Samples the model itself and ends the episode after `steps` steps;
+    each step takes at least `delay_s` seconds."""
+
+    def __init__(self, model, steps, delay_s=0.0):
+        self.model = model
+        self.steps = steps
+        self.delay_s = delay_s
+        self.rng = np.random.default_rng(0)
+        self.state = int(np.argmax(model.initial_belief))
+        self.count = 0
+
+    def step(self, action):
+        time.sleep(self.delay_s)
+        model = self.model
+        reward = float(model.reward[self.state, action])
+        self.state = int(self.rng.choice(
+            model.num_states, p=model.transition[action, self.state]))
+        obs = int(self.rng.choice(model.num_observations,
+                                  p=model.observation[self.state]))
+        self.count += 1
+        return obs, reward, self.count >= self.steps
+
+
 def test_execute_without_skipping_runs_episode():
     model = positive_models(149, 1)[0]
-
-    class _Env:
-        def __init__(self):
-            self.rng = np.random.default_rng(0)
-            self.state = int(np.argmax(model.initial_belief))
-            self.count = 0
-
-        def step(self, action):
-            reward = float(model.reward[self.state, action])
-            self.state = int(self.rng.choice(
-                model.num_states, p=model.transition[action, self.state]))
-            obs = int(self.rng.choice(model.num_observations,
-                                      p=model.observation[self.state]))
-            self.count += 1
-            return obs, reward, self.count >= 4
-
-    trace = execute_with_skipping(model, _Env(), lambda b, s: 0,
+    trace = execute_with_skipping(model, _ModelEnv(model, 4), lambda b, s: 0,
                                   SkipConfig(enabled=False))
     assert len(trace.rows) == 4
     assert trace.skip_ratio == 0.0
     assert trace.total_reward == pytest.approx(
         sum(r.reward for r in trace.rows))
+
+
+def test_executor_runs_on_the_main_thread_only():
+    model = positive_models(149, 1)[0]
+    threads_while_planning = []
+
+    def planner(belief, step):
+        threads_while_planning.append(threading.active_count())
+        return 0
+
+    trace = execute_with_skipping(
+        model, _ModelEnv(model, 4), planner,
+        SkipConfig(enabled=True, max_skip_depth=1, plan_horizon=2))
+    assert trace.certificates and len(threads_while_planning) >= 2
+    assert threads_while_planning == [1] * len(threads_while_planning)
+    assert threading.active_count() == 1
+
+
+def test_no_srg_check_after_the_final_step(monkeypatch):
+    model = positive_models(149, 1)[0]
+    env = _ModelEnv(model, 3, delay_s=0.02)
+    steps_taken_at_check = []
+
+    def record_check(model, belief, first_action, *args):
+        steps_taken_at_check.append(env.count)
+        return SrgCertificate(0, [first_action], [], [])
+
+    monkeypatch.setattr(replan, "check_srg", record_check)
+    trace = execute_with_skipping(model, env, lambda b, s: 0,
+                                  SkipConfig(enabled=True))
+    assert len(trace.rows) == 3
+    # one check after each planned step that did not end the episode
+    assert steps_taken_at_check == [1, 2]

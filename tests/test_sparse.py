@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from aolpomdp import (ExactBelief, ParticleBelief, SparseConfig,
-                      SparsePftEvaluator, Topology, estimate_lb, estimate_ub,
-                      exact_q_star, solve_root)
-from aolpomdp.bounds import plan_with_guarantees
+                      SparsePftEvaluator, Topology, compute_bounds, estimate_lb,
+                      estimate_ub, exact_q_star)
+from aolpomdp.topology import CLOSED, OPEN
 from conftest import make_models
 
 
@@ -56,11 +56,12 @@ def test_estimate_concentrates_with_budget():
     assert errors[64] <= errors[4] + 1e-9
 
 
-def test_solve_root_returns_pair_per_action():
+def test_compute_bounds_estimates_a_pair_per_action():
     model = make_models(73, 1)[0]
     belief = particles_for(model, 16, 1)
     config = SparseConfig(16, 2, model.horizon, seed=3)
-    pairs = solve_root(model, belief, Topology.fully_open(), config)
+    pairs = compute_bounds(model, belief, Topology.fully_open(), model.horizon,
+                           SparsePftEvaluator(config))
     assert sorted(pairs) == list(range(model.num_actions))
     for pair in pairs.values():
         assert pair.is_estimated
@@ -74,7 +75,8 @@ def test_evaluator_caches_untouched_subtrees():
     config = SparseConfig(16, 2, horizon, seed=5)
     evaluator = SparsePftEvaluator(config)
     # open root and open first child, closed elsewhere
-    topo = Topology.fully_closed().with_beta((), 1).with_beta((("a", 0),), 1)
+    topo = Topology.from_assignment({(): OPEN, (("a", 0),): OPEN},
+                                    default_mode=CLOSED)
     before = {a: evaluator.lower(model, belief, a, topo, horizon)
               for a in range(model.num_actions)}
     assert evaluator.cache_misses == model.num_actions
