@@ -8,6 +8,7 @@ operation takes an explicit numpy Generator so that results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,19 @@ def _check_prob_vector(vec: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} has negative entries")
     if abs(float(vec.sum()) - 1.0) > PROB_TOL:
         raise ValueError(f"{name} does not sum to 1 (sum={vec.sum()!r})")
+
+
+def cdf_table(probabilities: np.ndarray) -> np.ndarray:
+    """Read-only CDF of each row (last axis) of `probabilities`.
+
+    Built as `Generator.choice` builds it (`cumsum`, then divided by the last
+    entry), so `int(row.searchsorted(rng.random(), side="right"))` draws the
+    same index from the same uniform as `rng.choice(n, p=probabilities)`.
+    """
+    cdf = np.cumsum(probabilities, axis=-1)
+    cdf /= cdf[..., -1:]
+    cdf.setflags(write=False)
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -60,6 +74,10 @@ class DiscretePomdp:
             raise ValueError("initial_belief must have shape (S,)")
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
+        for name, arr in (("transition", t), ("observation", z)):
+            if arr.min() < 0.0:
+                first = np.argwhere(arr < 0.0)[0].tolist()
+                raise ValueError(f"{name}{first} is negative")
         for a in range(num_a):
             for s in range(num_s):
                 _check_prob_vector(t[a, s], f"transition[{a},{s}]")
@@ -90,6 +108,16 @@ class DiscretePomdp:
     @property
     def v_max(self) -> float:
         return self.horizon * self.r_max
+
+    @cached_property
+    def transition_cdf(self) -> np.ndarray:
+        """(A, S, S) CDF table of `transition`, built on first use."""
+        return cdf_table(self.transition)
+
+    @cached_property
+    def observation_cdf(self) -> np.ndarray:
+        """(S, O) CDF table of `observation`, built on first use."""
+        return cdf_table(self.observation)
 
 
 @dataclass(frozen=True)

@@ -271,8 +271,10 @@ def build_tree(model: DiscretePomdp, root_belief: ExactBelief, topology: Topolog
                kind: str = "aol") -> BeliefTree:
     """Enumerate the belief tree that the oracle evaluates for a topology.
 
-    Nodes are keyed by augmented history, so sibling observation branches of
-    an open node merge into a single child by construction.
+    Nodes are keyed by their augmented history entries, so sibling
+    observation branches of an open-loop node merge into a single child by
+    construction, while the fully observable children of an open node keep
+    one entry per next state.
     """
     tree = BeliefTree()
     root = AugmentedHistory()
@@ -290,8 +292,8 @@ def build_tree(model: DiscretePomdp, root_belief: ExactBelief, topology: Topolog
                     if count > branch_budget:
                         raise NodeBudgetError(
                             f"tree exceeds branch budget {branch_budget}")
-                    tree.nodes[child_h.key] = BeliefTreeNode(child_h, child_b,
-                                                             depth + 1)
+                    tree.nodes[child_h.entries] = BeliefTreeNode(
+                        child_h, child_b, depth + 1)
                     nxt.append((child_h, child_b))
         frontier = nxt
     return tree

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aolpomdp
 from aolpomdp import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
@@ -7,6 +8,7 @@ from aolpomdp import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                       exact_bayes_update, expected_reward,
                       observation_predictive, propagate_open_loop,
                       reachable_states)
+from aolpomdp.core import cdf_table
 from conftest import make_models
 
 
@@ -16,6 +18,52 @@ def test_model_validates_stochastic_rows(tiger_like):
     with pytest.raises(ValueError):
         DiscretePomdp(bad, tiger_like.observation, tiger_like.reward,
                       tiger_like.initial_belief, 2, 20.0)
+
+
+@pytest.mark.parametrize("tensor", ["transition", "observation"])
+def test_model_rejects_negative_entries(tiger_like, tensor):
+    arrays = {"transition": tiger_like.transition.copy(),
+              "observation": tiger_like.observation.copy()}
+    row = arrays[tensor][0] if tensor == "observation" else arrays[tensor][1, 0]
+    row[:] = [1.0 + 1e-12, -1e-12]
+    with pytest.raises(ValueError, match="negative"):
+        DiscretePomdp(arrays["transition"], arrays["observation"],
+                      tiger_like.reward, tiger_like.initial_belief, 2, 20.0)
+
+
+def test_cdf_tables_are_row_cdfs_and_read_only():
+    model = make_models(3, 1)[0]
+    for table, probabilities in ((model.transition_cdf, model.transition),
+                                 (model.observation_cdf, model.observation)):
+        assert table.shape == probabilities.shape
+        assert not table.flags.writeable
+        rows = probabilities.reshape(-1, probabilities.shape[-1])
+        for cdf, row in zip(table.reshape(rows.shape), rows):
+            expected = row.cumsum()
+            expected /= expected[-1]
+            np.testing.assert_array_equal(cdf, expected)
+    assert model.transition_cdf is model.transition_cdf
+
+
+_entries = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6),
+                     st.floats(1e-3, 1.0))
+
+
+@settings(deadline=None)
+@given(st.lists(_entries, min_size=1, max_size=12).filter(lambda r: sum(r) > 0),
+       st.integers(0, 2 ** 32 - 1))
+def test_cdf_draws_match_generator_choice(entries, seed):
+    """A CDF-table draw is `Generator.choice(n, p=row)`: same indices from the
+    same uniforms, and the stream ends at the same position."""
+    row = np.array(entries) / np.sum(entries)
+    cdf = cdf_table(np.stack([row, row[::-1]]))[0]
+    table_rng = np.random.default_rng(seed)
+    choice_rng = np.random.default_rng(seed)
+    drawn = [int(cdf.searchsorted(table_rng.random(), side="right"))
+             for _ in range(200)]
+    chosen = [int(choice_rng.choice(row.size, p=row)) for _ in range(200)]
+    assert drawn == chosen
+    assert table_rng.random() == choice_rng.random()
 
 
 def test_model_validates_reward_magnitude(tiger_like):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from aolpomdp import (AtPomcp, ExactBelief, PomcpConfig, Topology,
-                      exact_q_star)
+from aolpomdp import (AtPomcp, ExactBelief, ParticleBelief, PomcpConfig,
+                      Topology, exact_q_star)
 from aolpomdp.pomcp import random_topo_transition
 from aolpomdp.topology import OPEN
 from conftest import make_models
@@ -23,6 +23,49 @@ def test_search_is_deterministic_with_fixed_simulations():
     assert first.action == second.action
     np.testing.assert_array_equal(first.root_values, second.root_values)
     np.testing.assert_array_equal(first.root_visits, second.root_visits)
+
+
+_GOLDEN_TRANSITIONS = [(51, 2, 1, 0.9230769230769231),
+                       (101, 3, 1, 0.8461538461538461),
+                       (151, 4, 1, 0.7692307692307693),
+                       (201, 5, 1, 0.7692307692307693)]
+GOLDEN_SEARCHES = {
+    ("exact", True): (
+        [0.5845912279483031, -0.2924477768263245, 0.2746714944721116],
+        [272, 32, 95],
+        _GOLDEN_TRANSITIONS + [(251, 6, 1, 0.625),
+                               (301, 7, 1, 0.6111111111111112),
+                               (351, 8, 1, 0.5789473684210527)]),
+    ("exact", False): (
+        [0.6512429688222104, -0.3800210418812043, 0.14679945344723203],
+        [307, 27, 65], []),
+    ("particle", True): (
+        [0.43618561099947883, 0.057485081450657075, 0.025619385833515404],
+        [251, 77, 71],
+        _GOLDEN_TRANSITIONS + [(251, 6, 1, 0.7058823529411765),
+                               (301, 7, 1, 0.9583333333333334),
+                               (351, 8, 1, 0.7619047619047619)]),
+    ("particle", False): (
+        [0.5010018264966553, 0.017109710434234267, 0.061499486006047384],
+        [269, 62, 68], []),
+}
+
+
+@pytest.mark.parametrize("root, adapt", sorted(GOLDEN_SEARCHES))
+def test_search_matches_golden_values(root, adapt):
+    """Bit-identical to the values recorded when every draw went through
+    `Generator.choice(p=...)`: the draws consume the same random stream."""
+    model = make_models(5, 1, max_horizon=3)[0]
+    belief = (ExactBelief(model.initial_belief) if root == "exact" else
+              ParticleBelief(np.array([0, 1, 1, 3]),
+                             np.array([0.1, 0.2, 0.3, 0.4])))
+    config = PomcpConfig(horizon=3, seed=7, num_simulations=400,
+                         ucb_constant=3.0, pw_k=50.0, adapt_topology=adapt)
+    result = AtPomcp(model, config).search(belief)
+    values, visits, transitions = GOLDEN_SEARCHES[root, adapt]
+    assert result.root_values.tolist() == values
+    assert result.root_visits.tolist() == visits
+    assert result.diagnostics.transitions == transitions
 
 
 def test_baseline_uses_closed_topology():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from aolpomdp import CLOSED, OPEN, AugmentedHistory, ExactBelief, Topology, \
-    build_tree, random_topology, refine_topology
+    build_tree, random_topology, reachable_states, refine_topology
+from aolpomdp.bench import random_tiny_model
 from aolpomdp.topology import TopologyContractError, enumerate_keys, key_depth
 from conftest import make_models
 
@@ -72,6 +73,18 @@ def test_closed_tree_branches_on_observations():
     counts = tree.depth_counts()
     assert counts[1] <= model.num_actions * model.num_observations
     assert counts[1] > model.num_actions
+
+
+def test_fully_observable_tree_keeps_one_child_per_next_state():
+    model = random_tiny_model(np.random.default_rng(5))
+    root = ExactBelief(model.initial_belief)
+    tree = build_tree(model, root, Topology.fully_open(), 2, kind="afo")
+    counts = tree.depth_counts()
+    assert counts[1] == sum(len(reachable_states(model, root, [a]))
+                            for a in range(model.num_actions))
+    assert counts[2] == sum(len(reachable_states(model, node.belief, [a]))
+                            for node in tree.nodes.values() if node.depth == 1
+                            for a in range(model.num_actions))
 
 
 def test_refine_noop_on_closed_node():
