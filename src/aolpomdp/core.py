@@ -119,6 +119,14 @@ class DiscretePomdp:
         """(S, O) CDF table of `observation`, built on first use."""
         return cdf_table(self.observation)
 
+    @cached_property
+    def likelihoods(self) -> np.ndarray:
+        """(O, S) read-only C-contiguous copy of `observation.T`: row z holds
+        P(z | x) for every state x.  Built on first use."""
+        rows = np.ascontiguousarray(self.observation.T)
+        rows.setflags(write=False)
+        return rows
+
 
 @dataclass(frozen=True)
 class ExactBelief:
@@ -134,10 +142,20 @@ class ExactBelief:
         object.__setattr__(self, "probabilities", p)
 
     @classmethod
+    def _derived(cls, p: np.ndarray) -> "ExactBelief":
+        """Belief computed from a validated model and belief (a posterior, an
+        open-loop propagation or a point mass): the checks and the clip of the
+        public constructor are no-ops on it and are skipped."""
+        p.setflags(write=False)
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "probabilities", p)
+        return belief
+
+    @classmethod
     def point_mass(cls, state: int, num_states: int) -> "ExactBelief":
         p = np.zeros(num_states)
         p[state] = 1.0
-        return cls(p)
+        return cls._derived(p)
 
     @classmethod
     def uniform(cls, num_states: int) -> "ExactBelief":
@@ -207,6 +225,25 @@ def observation_predictive(model: DiscretePomdp, belief: ExactBelief,
     return propagated @ model.observation
 
 
+def condition(model: DiscretePomdp, propagated: np.ndarray, observations,
+              action: int):
+    """Bayes' rule for each of `observations` given the propagated state
+    distribution `propagated` of taking `action`.
+
+    Returns (evidence, posteriors): P(z | b, a) for each observation and the
+    read-only posteriors as the rows of one array.
+    """
+    joint = model.likelihoods[observations] * propagated
+    evidence = joint.sum(axis=1)
+    if evidence.min() <= PROB_TOL * PROB_TOL:
+        raise ImpossibleObservationError(
+            f"observation {observations[int(evidence.argmin())]} has zero "
+            f"probability under (belief, action={action})")
+    posteriors = joint / evidence[:, None]
+    posteriors.setflags(write=False)
+    return evidence, posteriors
+
+
 def exact_bayes_update(model: DiscretePomdp, belief: ExactBelief, action: int,
                        observation: int):
     """Full Bayes step: propagate through the transition model, condition on z.
@@ -214,13 +251,8 @@ def exact_bayes_update(model: DiscretePomdp, belief: ExactBelief, action: int,
     Returns (posterior, predictive probability of the observation).
     """
     propagated = model.transition[action].T @ belief.probabilities
-    joint = propagated * model.observation[:, observation]
-    evidence = float(joint.sum())
-    if evidence <= PROB_TOL * PROB_TOL:
-        raise ImpossibleObservationError(
-            f"observation {observation} has zero probability under "
-            f"(belief, action={action})")
-    return ExactBelief(joint / evidence), evidence
+    evidence, posteriors = condition(model, propagated, [observation], action)
+    return ExactBelief._derived(posteriors[0]), float(evidence[0])
 
 
 def propagate_open_loop(model: DiscretePomdp, belief: ExactBelief,
@@ -229,7 +261,7 @@ def propagate_open_loop(model: DiscretePomdp, belief: ExactBelief,
     p = belief.probabilities
     for a in actions:
         p = model.transition[a].T @ p
-    return ExactBelief(p)
+    return ExactBelief._derived(p)
 
 
 def sample_transitions(model: DiscretePomdp, states: np.ndarray, action: int,

@@ -20,8 +20,8 @@ class _Budget:
     def __init__(self, limit: int):
         self.remaining = limit
 
-    def spend(self):
-        self.remaining -= 1
+    def spend(self, units: int = 1):
+        self.remaining -= units
         if self.remaining < 0:
             raise NodeBudgetError("exact enumeration exceeded the node budget")
 
@@ -34,8 +34,17 @@ def _q_value(model: DiscretePomdp, belief: ExactBelief, action: int,
     if depth + 1 >= end_depth:
         return immediate
     future = 0.0
-    for p, child_h, child_b in exact_children(
-            model, belief, history, action, topology.beta(history.key), kind):
+    children = exact_children(model, belief, history, action,
+                              topology.beta(history.key), kind)
+    if depth + 2 >= end_depth:
+        # last layer: each child's value is its best immediate reward
+        columns = [model.reward[:, a] for a in range(model.num_actions)]
+        for p, _, child_b in children:
+            budget.spend(len(columns))
+            future += p * max(float(child_b.probabilities @ column)
+                              for column in columns)
+        return immediate + future
+    for p, child_h, child_b in children:
         future += p * max(_q_value(model, child_b, a, child_h, depth + 1,
                                    end_depth, topology, kind, budget)
                           for a in range(model.num_actions))

@@ -105,15 +105,26 @@ def _check_open_prefix(topology: Topology, forced_actions) -> None:
             "topology must be open-loop over the forced action prefix")
 
 
-def prefix_rewards(model: DiscretePomdp, belief: ExactBelief,
-                   forced_actions) -> float:
-    """Sum of expected rewards along the open-loop propagated prefix."""
+def _open_loop_prefix(model: DiscretePomdp, belief: ExactBelief,
+                      forced_actions):
+    """(sum of expected rewards, propagated belief, history) along the
+    open-loop prefix."""
     total = 0.0
-    b = belief
+    history = AugmentedHistory()
     for a in forced_actions:
-        total += expected_reward(model, b, a)
-        b = propagate_open_loop(model, b, [a])
-    return total
+        total += expected_reward(model, belief, a)
+        belief = propagate_open_loop(model, belief, [a])
+        history = history.extended_open(a)
+    return total, belief, history
+
+
+def _q_tilde(model: DiscretePomdp, prefix, action: int, topology: Topology,
+             plan_horizon: int, mode: str, node_budget: int = 10 ** 6) -> float:
+    rewards, propagated, history = prefix
+    k = history.depth
+    return rewards + exact_continuation_value(
+        model, propagated, action, history, k, k + plan_horizon, topology,
+        mode, node_budget)
 
 
 def q_tilde(model: DiscretePomdp, belief: ExactBelief, forced_actions,
@@ -122,16 +133,34 @@ def q_tilde(model: DiscretePomdp, belief: ExactBelief, forced_actions,
     """Extended-horizon value: horizon len(prefix) + plan_horizon with the
     prefix actions enforced open-loop, optimal continuation afterwards."""
     _check_open_prefix(topology, forced_actions)
-    k = len(forced_actions)
-    prefix = prefix_rewards(model, belief, forced_actions)
-    propagated = propagate_open_loop(model, belief, forced_actions)
-    history = AugmentedHistory()
-    for a in forced_actions:
-        history = history.extended_open(a)
-    continuation = exact_continuation_value(
-        model, propagated, action, history, k, k + plan_horizon, topology,
-        mode, node_budget)
-    return prefix + continuation
+    return _q_tilde(model, _open_loop_prefix(model, belief, forced_actions),
+                    action, topology, plan_horizon, mode, node_budget)
+
+
+def _step_bounds(model: DiscretePomdp, belief: ExactBelief, prefix_actions,
+                 candidates, topology: Topology, plan_horizon: int,
+                 observation_sets, tolerance: float = 1e-9) -> dict:
+    """`future_bounds` of each candidate after one shared action prefix: c_k
+    and the prefix are computed once."""
+    factor = compute_ck(model, belief, prefix_actions, observation_sets)
+    _check_open_prefix(topology, prefix_actions)
+    prefix = _open_loop_prefix(model, belief, prefix_actions)
+    rewards = prefix[0]
+    bound_map = {}
+    for candidate in candidates:
+        res_aol = _q_tilde(model, prefix, candidate, topology, plan_horizon,
+                           "aol") - rewards
+        res_afo = _q_tilde(model, prefix, candidate, topology, plan_horizon,
+                           "afo") - rewards
+        if res_aol < -tolerance or res_afo < -tolerance:
+            raise PositivityError(
+                f"negative residual value (aol={res_aol:.6g}, "
+                f"afo={res_afo:.6g})")
+        bound_map[candidate] = BoundPair(
+            factor.value * res_aol, res_afo / factor.value, candidate,
+            topology.topology_id,
+            {"c_k": factor.value, "k": len(prefix_actions)})
+    return bound_map
 
 
 def future_bounds(model: DiscretePomdp, belief: ExactBelief, actions,
@@ -141,22 +170,10 @@ def future_bounds(model: DiscretePomdp, belief: ExactBelief, actions,
     extended-horizon values (actions = a_0..a_{k-1} prefix plus candidate a_k)."""
     if not actions:
         raise ValueError("need at least the candidate action")
-    prefix_actions, candidate = list(actions[:-1]), actions[-1]
-    factor = compute_ck(model, belief, prefix_actions, observation_sets)
-    aol = q_tilde(model, belief, prefix_actions, candidate, topology,
-                  plan_horizon, "aol")
-    afo = q_tilde(model, belief, prefix_actions, candidate, topology,
-                  plan_horizon, "afo")
-    prefix = prefix_rewards(model, belief, prefix_actions)
-    res_aol = aol - prefix
-    res_afo = afo - prefix
-    if res_aol < -tolerance or res_afo < -tolerance:
-        raise PositivityError(
-            f"negative residual value (aol={res_aol:.6g}, afo={res_afo:.6g})")
-    lower = factor.value * res_aol
-    upper = res_afo / factor.value
-    return BoundPair(lower, upper, candidate, topology.topology_id,
-                     {"c_k": factor.value, "k": len(prefix_actions)})
+    candidate = actions[-1]
+    return _step_bounds(model, belief, list(actions[:-1]), [candidate],
+                        topology, plan_horizon, observation_sets,
+                        tolerance)[candidate]
 
 
 def allowed_observation_sets(model: DiscretePomdp, belief: ExactBelief,
@@ -195,10 +212,9 @@ def check_srg(model: DiscretePomdp, belief: ExactBelief, first_action: int,
             built_sets.append(frozenset(range(model.num_observations)))
         step_sets = list(built_sets)
         try:
-            bound_map = {}
-            for a in range(model.num_actions):
-                bound_map[a] = future_bounds(model, belief, actions + [a],
-                                             topology, plan_horizon, step_sets)
+            bound_map = _step_bounds(model, belief, actions,
+                                     range(model.num_actions), topology,
+                                     plan_horizon, step_sets)
             separation = check_separation(bound_map)
         except (PositivityError, EmptyLikelihoodSupportError) as exc:
             steps.append(SrgStep(i, "failed", failure_reason=str(exc)))

@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (DiscretePomdp, ExactBelief, exact_bayes_update,
-                   observation_predictive, propagate_open_loop, PROB_TOL)
+from .core import DiscretePomdp, ExactBelief, PROB_TOL, condition
 
 OPEN = 1
 CLOSED = 0
@@ -231,21 +230,22 @@ def exact_children(model: DiscretePomdp, belief: ExactBelief,
     nodes branch on each observation of non-negligible predictive
     probability with its Bayes posterior.
     """
+    propagated = model.transition[action].T @ belief.probabilities
     if beta == OPEN and kind == "aol":
         yield (1.0, history.extended_open(action),
-               propagate_open_loop(model, belief, [action]))
+               ExactBelief._derived(propagated))
     elif beta == OPEN:
-        propagated = model.transition[action].T @ belief.probabilities
-        for x in np.flatnonzero(propagated > 0.0):
+        for x in np.flatnonzero(propagated > 0.0).tolist():
             yield (float(propagated[x]),
-                   history.extended_fully_observable(action, int(x)),
-                   ExactBelief.point_mass(int(x), model.num_states))
+                   history.extended_fully_observable(action, x),
+                   ExactBelief.point_mass(x, model.num_states))
     else:
-        predictive = observation_predictive(model, belief, action)
-        for z in np.flatnonzero(predictive > PROB_TOL):
-            posterior, evidence = exact_bayes_update(model, belief, action,
-                                                     int(z))
-            yield evidence, history.extended_closed(action, int(z)), posterior
+        kept = np.flatnonzero(propagated @ model.observation > PROB_TOL)
+        evidence, posteriors = condition(model, propagated, kept, action)
+        for z, p, posterior in zip(kept.tolist(), evidence.tolist(),
+                                   posteriors):
+            yield (p, history.extended_closed(action, z),
+                   ExactBelief._derived(posterior))
 
 
 @dataclass

@@ -139,6 +139,22 @@ def test_beliefs_are_immutable(tiger_like):
         belief.probabilities[0] = 1.0
 
 
+def test_public_belief_validates_and_derived_beliefs_are_read_only():
+    with pytest.raises(ValueError, match="negative"):
+        ExactBelief(np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        ExactBelief(np.array([0.5, 0.4]))
+    model = make_models(3, 1)[0]
+    belief = ExactBelief(model.initial_belief)
+    derived = [exact_bayes_update(model, belief, 0, 0)[0],
+               propagate_open_loop(model, belief, [0, 1]),
+               ExactBelief.point_mass(1, model.num_states)]
+    for child in derived:
+        assert not child.probabilities.flags.writeable
+        with pytest.raises(ValueError):
+            child.probabilities[0] = 0.5
+
+
 def test_package_exports_resolve():
     missing = [name for name in aolpomdp.__all__
                if not hasattr(aolpomdp, name)]

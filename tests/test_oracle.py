@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aolpomdp import (ExactBelief, Topology, exact_afo_value, exact_aol_value,
-                      exact_q_star)
+                      exact_q_star, random_topology)
+from aolpomdp.bench import random_tiny_model
+from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
 from aolpomdp.oracle import exact_continuation_value
-from aolpomdp.topology import AugmentedHistory, NodeBudgetError
+from aolpomdp.topology import (OPEN, AugmentedHistory, NodeBudgetError,
+                               enumerate_keys)
 from conftest import make_models
 
 
@@ -65,3 +69,146 @@ def test_continuation_matches_full_value(tiger_like):
     cont = exact_continuation_value(tiger_like, belief, 0, AugmentedHistory(),
                                     0, 2, Topology.fully_closed(), "aol")
     assert cont == pytest.approx(full)
+
+
+# Exact values asserted with ==, so any change to the float arithmetic of the
+# recursion shows.  One row per action: Q*, then (aol, afo) under each
+# topology in turn.
+GOLDEN_RANDOM_MODELS = [
+    [
+        (-0.18631549311468087, -0.18631549311468093, 0.04340813803047561,
+         -0.18631549311468087, -0.18631549311468087, -0.18631549311468087,
+         -0.15742707268174988),
+        (0.025013878736052597, 0.02501387873605257, 0.30644007030044806,
+         0.025013878736052597, 0.025013878736052597, 0.025013878736052597,
+         0.0504553236734952),
+        (0.1995698636026827, 0.1995698636026828, 0.32577971370975567,
+         0.1995698636026827, 0.1995698636026827, 0.1995698636026827,
+         0.22036489057948028),
+    ],
+    [
+        (1.3992057151663593, 1.3992057151663593, 1.3992057151663593,
+         1.3992057151663593, 1.3992057151663593, 1.3992057151663593,
+         1.3992057151663593),
+        (0.44743256594764047, 0.4474325659476407, 0.4474325659476407,
+         0.44743256594764047, 0.44743256594764047, 0.4474325659476407,
+         0.4474325659476407),
+    ],
+    [
+        (0.43887430008994754, 0.4016362002642903, 0.6241071368379011,
+         0.43887430008994754, 0.43887430008994754, 0.40163620026429026,
+         0.5028960210167766),
+        (-0.3434524525483422, -0.45730294469391664, -0.1792740321991933,
+         -0.3434524525483422, -0.3434524525483422, -0.4357731619848432,
+         -0.2748978784138074),
+    ],
+]
+# random_tiny_model(default_rng(4), max_states=12, max_observations=4): nine
+# states, so evidence sums take numpy's pairwise summation path
+GOLDEN_WIDE_MODEL = [
+    (-0.04217676765656736, -0.05685969887855605, 1.034975139285117,
+     -0.04217676765656736, -0.04217676765656736, -0.04282610024692557,
+     0.20543917738389367),
+    (0.5156630851687312, 0.46256061816355576, 1.598791188690372,
+     0.5156630851687312, 0.5156630851687312, 0.5118114688435553,
+     0.6792986133636236),
+    (0.22486432986792446, 0.19112060452746682, 1.2714986859822537,
+     0.22486432986792446, 0.22486432986792446, 0.22088207904914073,
+     0.5359795035816862),
+]
+GOLDEN_TUNNEL = [
+    (103.8125, 103.8125, 103.8125, 103.8125, 103.8125),
+    (103.8125, 103.8125, 103.8125, 103.8125, 103.8125),
+    (102.17624999999998, 102.17625, 102.17625, 102.17624999999998,
+     102.17624999999998),
+    (106.84062499999999, 106.84062499999999, 106.840625, 106.84062499999999,
+     106.84062499999999),
+]
+
+
+def _value_rows(model, belief, topologies, horizon):
+    rows = []
+    for a in range(model.num_actions):
+        row = [exact_q_star(model, belief, a, horizon)]
+        for topo in topologies:
+            row += [exact_aol_value(model, belief, a, topo, horizon),
+                    exact_afo_value(model, belief, a, topo, horizon)]
+        rows.append(tuple(row))
+    return rows
+
+
+def test_exact_values_match_golden_literals():
+    for i, model in enumerate(make_models(15, 3)):
+        topologies = [Topology.fully_open(), Topology.fully_closed(),
+                      random_topology(model.num_actions,
+                                      model.num_observations, 3,
+                                      np.random.default_rng(31 + i))]
+        assert _value_rows(model, ExactBelief(model.initial_belief),
+                           topologies, 3) == GOLDEN_RANDOM_MODELS[i]
+    gen = np.random.default_rng(4)
+    wide = random_tiny_model(gen, max_states=12, max_observations=4)
+    topologies = [Topology.fully_open(), Topology.fully_closed(),
+                  random_topology(wide.num_actions, wide.num_observations, 3,
+                                  gen)]
+    assert _value_rows(wide, ExactBelief(wide.initial_belief), topologies,
+                       3) == GOLDEN_WIDE_MODEL
+    # sparse rows and point-mass children, which full-support models lack
+    tunnel = build_tunnel_pomdp(tunnel_spec(length=12))
+    assert _value_rows(tunnel, ExactBelief(tunnel.initial_belief),
+                       [Topology.fully_open(), Topology.fully_closed()],
+                       3) == GOLDEN_TUNNEL
+
+
+def test_node_budget_is_pinned():
+    """The budget counts one unit per (belief, action) node of the recursion,
+    leaves included: 820 nodes at horizon 4 for this model."""
+    model = make_models(41, 1, max_states=4, max_actions=3,
+                        max_observations=3)[0]
+    belief = ExactBelief(model.initial_belief)
+    exact_q_star(model, belief, 0, 4, node_budget=820)
+    with pytest.raises(NodeBudgetError):
+        exact_q_star(model, belief, 0, 4, node_budget=819)
+
+
+_PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def _tiny_instance(seed):
+    gen = np.random.default_rng(seed)
+    model = random_tiny_model(gen)
+    topology = random_topology(model.num_actions, model.num_observations,
+                               model.horizon, gen)
+    return model, ExactBelief(model.initial_belief), topology
+
+
+@_PROPERTY
+@given(st.integers(0, 2 ** 32 - 1))
+def test_value_sandwich_property(seed):
+    model, belief, topology = _tiny_instance(seed)
+    for a in range(model.num_actions):
+        q = exact_q_star(model, belief, a, model.horizon)
+        for topo in (topology, Topology.fully_open()):
+            assert exact_aol_value(model, belief, a, topo,
+                                   model.horizon) <= q + 1e-9
+            assert q <= exact_afo_value(model, belief, a, topo,
+                                        model.horizon) + 1e-9
+
+
+@_PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 6))
+def test_closing_a_node_never_loosens_a_bound(seed, pick):
+    model, belief, topology = _tiny_instance(seed)
+    open_keys = [key for key in enumerate_keys(
+        topology, model.num_actions, model.num_observations,
+        model.horizon - 1) if topology.beta(key) == OPEN]
+    if not open_keys:
+        return
+    refined = topology.flip_to_closed(open_keys[pick % len(open_keys)],
+                                      model.num_observations)
+    for a in range(model.num_actions):
+        assert (exact_aol_value(model, belief, a, refined, model.horizon)
+                >= exact_aol_value(model, belief, a, topology,
+                                   model.horizon) - 1e-9)
+        assert (exact_afo_value(model, belief, a, refined, model.horizon)
+                <= exact_afo_value(model, belief, a, topology,
+                                   model.horizon) + 1e-9)

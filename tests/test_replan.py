@@ -4,14 +4,16 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aolpomdp import (DiscretePomdp, ExactBelief, SkipConfig, SrgCertificate,
                       Topology, check_srg, compute_ck, exact_bayes_update,
                       exact_q_star, execute_with_skipping, future_bounds,
                       replan)
+from aolpomdp.bench import random_tiny_model
 from aolpomdp.core import observation_predictive
 from aolpomdp.replan import (EmptyLikelihoodSupportError, PositivityError,
-                             allowed_observation_sets, prefix_rewards, q_tilde)
+                             allowed_observation_sets, q_tilde)
 from aolpomdp.topology import OPEN
 from conftest import make_models
 
@@ -50,6 +52,26 @@ def test_compute_ck_in_unit_interval():
         factor = compute_ck(model, belief, actions)
         assert 0.0 < factor.value <= 1.0 + 1e-12
         assert len(factor.per_step) == len(actions)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_ck_in_unit_interval_property(seed):
+    """c_k lies in (0, 1] for any action prefix and any non-empty allowed
+    observation sets (random tiny models have full-support likelihoods)."""
+    gen = np.random.default_rng(seed)
+    model = random_tiny_model(gen)
+    k = int(gen.integers(1, model.horizon + 2))
+    actions = gen.integers(model.num_actions, size=k).tolist()
+    sets = [frozenset(gen.choice(
+        model.num_observations, replace=False,
+        size=int(gen.integers(1, model.num_observations + 1))).tolist())
+        for _ in range(k)]
+    for observation_sets in (None, sets):
+        factor = compute_ck(model, ExactBelief(model.initial_belief), actions,
+                            observation_sets)
+        assert 0.0 < factor.value <= 1.0
+        assert len(factor.per_step) == k
 
 
 def test_q_tilde_zero_prefix_is_plain_value():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aolpomdp import CLOSED, OPEN, AugmentedHistory, ExactBelief, Topology, \
-    build_tree, random_topology, reachable_states, refine_topology
+    build_tree, exact_bayes_update, observation_predictive, random_topology, \
+    reachable_states, refine_topology
 from aolpomdp.bench import random_tiny_model
-from aolpomdp.topology import TopologyContractError, enumerate_keys, key_depth
+from aolpomdp.core import PROB_TOL
+from aolpomdp.topology import (TopologyContractError, enumerate_keys,
+                               exact_children, key_depth)
 from conftest import make_models
 
 
@@ -99,3 +103,28 @@ def test_refine_noop_on_closed_node():
 def test_key_depth():
     assert key_depth(()) == 0
     assert key_depth((("a", 0), ("z", 1), ("a", 2))) == 2
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_closed_children_are_bayes_updates(seed):
+    """Every closed branch carries exactly what `exact_bayes_update` returns
+    for its observation, and the kept observations are those of
+    predictive probability above the tolerance.  Up to 12 states, so that
+    sums also take numpy's pairwise path (8 or more terms)."""
+    gen = np.random.default_rng(seed)
+    model = random_tiny_model(gen, max_states=12, max_observations=4)
+    belief = ExactBelief(gen.dirichlet(np.ones(model.num_states)))
+    action = int(gen.integers(model.num_actions))
+    history = AugmentedHistory().extended_open(0)
+    children = list(exact_children(model, belief, history, action, CLOSED,
+                                   "aol"))
+    predictive = observation_predictive(model, belief, action)
+    assert [child_h.entries[-1][1] for _, child_h, _ in children] \
+        == np.flatnonzero(predictive > PROB_TOL).tolist()
+    for evidence, child_h, child_b in children:
+        z = child_h.entries[-1][1]
+        assert child_h == history.extended_closed(action, z)
+        posterior, expected = exact_bayes_update(model, belief, action, z)
+        assert evidence == expected
+        assert np.array_equal(child_b.probabilities, posterior.probabilities)
