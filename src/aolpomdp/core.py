@@ -192,6 +192,23 @@ class ParticleBelief:
         object.__setattr__(self, "weights", w)
 
     @classmethod
+    def _derived(cls, states: np.ndarray, weights: np.ndarray) -> "ParticleBelief":
+        """Particle set computed from a validated model and belief (a
+        propagation, a reweighting or a fully observable branch): the checks
+        of the public constructor hold by construction and are skipped.  The
+        weights are normalized as the public constructor normalizes them."""
+        total = float(weights.sum())
+        if total <= 0.0:
+            raise ParticleDepletionError("total particle weight is zero")
+        weights = weights / total
+        states.setflags(write=False)
+        weights.setflags(write=False)
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "states", states)
+        object.__setattr__(belief, "weights", weights)
+        return belief
+
+    @classmethod
     def from_states(cls, states) -> "ParticleBelief":
         states = np.asarray(states, dtype=np.int64)
         return cls(states, np.full(states.shape, 1.0 / states.size))
@@ -266,10 +283,32 @@ def propagate_open_loop(model: DiscretePomdp, belief: ExactBelief,
 
 def sample_transitions(model: DiscretePomdp, states: np.ndarray, action: int,
                        rng: np.random.Generator) -> np.ndarray:
-    """Sample one successor for each state in `states` under `action`."""
-    cdf = np.cumsum(model.transition[action][states], axis=1)
+    """Sample one successor for each state in `states` under `action`.
+
+    Reads rows of the cached `model.transition_cdf`.  Each draw is the first
+    state whose CDF entry reaches the uniform, which is the number of entries
+    below it; the last entry is exactly 1, so every uniform in [0, 1) draws a
+    valid state index."""
+    cdf = model.transition_cdf[action].take(states, axis=0)
     draws = rng.random(states.size)
-    return (cdf < draws[:, None]).sum(axis=1)
+    return (cdf >= draws[:, None]).argmax(axis=1)
+
+
+def state_support(model: DiscretePomdp, belief) -> np.ndarray:
+    """Boolean mask of the states `belief` puts mass on; for a particle
+    belief, its particle set."""
+    if isinstance(belief, ExactBelief):
+        return belief.probabilities > 0.0
+    support = np.zeros(model.num_states, dtype=bool)
+    support[np.unique(belief.states)] = True
+    return support
+
+
+def reachable_step(model: DiscretePomdp, support: np.ndarray,
+                   action: int) -> np.ndarray:
+    """Mask of the states one step of `action` can reach from the mask
+    `support`."""
+    return (model.transition[action][support] > 0.0).any(axis=0)
 
 
 def reachable_states(model: DiscretePomdp, belief, actions) -> frozenset:
@@ -278,11 +317,7 @@ def reachable_states(model: DiscretePomdp, belief, actions) -> frozenset:
     For particle beliefs the initial support is the particle set, which makes
     the result a superset-safe approximation of the true reachable set.
     """
-    if isinstance(belief, ExactBelief):
-        support = belief.probabilities > 0.0
-    else:
-        support = np.zeros(model.num_states, dtype=bool)
-        support[np.unique(belief.states)] = True
+    support = state_support(model, belief)
     for a in actions:
-        support = (model.transition[a][support] > 0.0).any(axis=0)
+        support = reachable_step(model, support, a)
     return frozenset(np.flatnonzero(support).tolist())

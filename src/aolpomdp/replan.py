@@ -17,7 +17,8 @@ import numpy as np
 
 from .bounds import BoundPair, SeparationResult, check_separation
 from .core import (DiscretePomdp, ExactBelief, expected_reward,
-                   propagate_open_loop, reachable_states, exact_bayes_update)
+                   propagate_open_loop, reachable_step, state_support,
+                   exact_bayes_update)
 from .oracle import exact_continuation_value
 from .topology import AugmentedHistory, OPEN, Topology, TopologyContractError
 
@@ -71,6 +72,19 @@ class SrgCertificate:
         return self.certified_depth == self.depth
 
 
+def _likelihood_ratio(model: DiscretePomdp, support: np.ndarray,
+                      observations, step: int) -> float:
+    """min/max positive likelihood over the reachable states `support` (a
+    mask) and the allowed `observations` at prefix step `step`."""
+    block = model.observation[np.ix_(np.flatnonzero(support),
+                                     sorted(observations))]
+    positive = block[block > 0.0]
+    if positive.size == 0:
+        raise EmptyLikelihoodSupportError(
+            f"step {step}: no positive likelihood over the restricted sets")
+    return float(positive.min()) / float(positive.max())
+
+
 def compute_ck(model: DiscretePomdp, belief, actions,
                observation_sets=None) -> LikelihoodRatioFactor:
     """Product over steps of min/max positive observation likelihood ratios,
@@ -82,17 +96,12 @@ def compute_ck(model: DiscretePomdp, belief, actions,
         raise ValueError("need one observation set per step")
     per_step = []
     reachable_sets = []
-    for j in range(1, k + 1):
-        reach = reachable_states(model, belief, actions[:j])
-        reachable_sets.append(reach)
-        obs_set = observation_sets[j - 1]
-        entries = [float(model.observation[x, z])
-                   for z in sorted(obs_set) for x in sorted(reach)
-                   if model.observation[x, z] > 0.0]
-        if not entries:
-            raise EmptyLikelihoodSupportError(
-                f"step {j}: no positive likelihood over the restricted sets")
-        per_step.append(min(entries) / max(entries))
+    support = state_support(model, belief)
+    for j, (action, obs_set) in enumerate(zip(actions, observation_sets),
+                                          start=1):
+        support = reachable_step(model, support, action)
+        reachable_sets.append(frozenset(np.flatnonzero(support).tolist()))
+        per_step.append(_likelihood_ratio(model, support, obs_set, j))
     value = float(np.prod(per_step)) if per_step else 1.0
     return LikelihoodRatioFactor(value, tuple(per_step),
                                  tuple(frozenset(s) for s in observation_sets),
@@ -105,17 +114,22 @@ def _check_open_prefix(topology: Topology, forced_actions) -> None:
             "topology must be open-loop over the forced action prefix")
 
 
+def _extended(model: DiscretePomdp, prefix, action: int):
+    """`prefix` extended open-loop by `action`: one propagation."""
+    rewards, belief, history = prefix
+    return (rewards + expected_reward(model, belief, action),
+            propagate_open_loop(model, belief, [action]),
+            history.extended_open(action))
+
+
 def _open_loop_prefix(model: DiscretePomdp, belief: ExactBelief,
                       forced_actions):
     """(sum of expected rewards, propagated belief, history) along the
     open-loop prefix."""
-    total = 0.0
-    history = AugmentedHistory()
+    prefix = (0.0, belief, AugmentedHistory())
     for a in forced_actions:
-        total += expected_reward(model, belief, a)
-        belief = propagate_open_loop(model, belief, [a])
-        history = history.extended_open(a)
-    return total, belief, history
+        prefix = _extended(model, prefix, a)
+    return prefix
 
 
 def _q_tilde(model: DiscretePomdp, prefix, action: int, topology: Topology,
@@ -137,15 +151,12 @@ def q_tilde(model: DiscretePomdp, belief: ExactBelief, forced_actions,
                     action, topology, plan_horizon, mode, node_budget)
 
 
-def _step_bounds(model: DiscretePomdp, belief: ExactBelief, prefix_actions,
-                 candidates, topology: Topology, plan_horizon: int,
-                 observation_sets, tolerance: float = 1e-9) -> dict:
-    """`future_bounds` of each candidate after one shared action prefix: c_k
-    and the prefix are computed once."""
-    factor = compute_ck(model, belief, prefix_actions, observation_sets)
-    _check_open_prefix(topology, prefix_actions)
-    prefix = _open_loop_prefix(model, belief, prefix_actions)
-    rewards = prefix[0]
+def _step_bounds(model: DiscretePomdp, prefix, c_k: float, candidates,
+                 topology: Topology, plan_horizon: int,
+                 tolerance: float = 1e-9) -> dict:
+    """`future_bounds` of each candidate after one shared open-loop prefix
+    (from `_open_loop_prefix`) with likelihood-ratio factor `c_k`."""
+    rewards, _, history = prefix
     bound_map = {}
     for candidate in candidates:
         res_aol = _q_tilde(model, prefix, candidate, topology, plan_horizon,
@@ -157,9 +168,8 @@ def _step_bounds(model: DiscretePomdp, belief: ExactBelief, prefix_actions,
                 f"negative residual value (aol={res_aol:.6g}, "
                 f"afo={res_afo:.6g})")
         bound_map[candidate] = BoundPair(
-            factor.value * res_aol, res_afo / factor.value, candidate,
-            topology.topology_id,
-            {"c_k": factor.value, "k": len(prefix_actions)})
+            c_k * res_aol, res_afo / c_k, candidate, topology.topology_id,
+            {"c_k": c_k, "k": history.depth})
     return bound_map
 
 
@@ -171,9 +181,12 @@ def future_bounds(model: DiscretePomdp, belief: ExactBelief, actions,
     if not actions:
         raise ValueError("need at least the candidate action")
     candidate = actions[-1]
-    return _step_bounds(model, belief, list(actions[:-1]), [candidate],
-                        topology, plan_horizon, observation_sets,
-                        tolerance)[candidate]
+    prefix_actions = list(actions[:-1])
+    factor = compute_ck(model, belief, prefix_actions, observation_sets)
+    _check_open_prefix(topology, prefix_actions)
+    prefix = _open_loop_prefix(model, belief, prefix_actions)
+    return _step_bounds(model, prefix, factor.value, [candidate], topology,
+                        plan_horizon, tolerance)[candidate]
 
 
 def allowed_observation_sets(model: DiscretePomdp, belief: ExactBelief,
@@ -181,12 +194,17 @@ def allowed_observation_sets(model: DiscretePomdp, belief: ExactBelief,
     """Top-m observations by predictive likelihood under the open-loop
     propagated belief at each step (ties broken by lowest index)."""
     sets = []
-    for j in range(1, len(actions) + 1):
-        propagated = propagate_open_loop(model, belief, actions[:j])
-        predictive = propagated.probabilities @ model.observation
-        order = np.argsort(-predictive, kind="stable")
-        sets.append(frozenset(int(z) for z in order[:top_m]))
+    for a in actions:
+        belief = propagate_open_loop(model, belief, [a])
+        sets.append(_top_observations(model, belief, top_m))
     return sets
+
+
+def _top_observations(model: DiscretePomdp, propagated: ExactBelief,
+                      top_m: int) -> frozenset:
+    predictive = propagated.probabilities @ model.observation
+    order = np.argsort(-predictive, kind="stable")
+    return frozenset(int(z) for z in order[:top_m])
 
 
 def check_srg(model: DiscretePomdp, belief: ExactBelief, first_action: int,
@@ -196,25 +214,35 @@ def check_srg(model: DiscretePomdp, belief: ExactBelief, first_action: int,
     preceding step separated; evaluation stops at the first failure).
 
     With `allowed_top_m` set and no explicit sets, the allowed observation set
-    for each step is derived from the certified prefix as it grows.
+    for each step is derived from the certified prefix as it grows.  The
+    prefix, its reachable states and its per-step likelihood ratios are
+    extended by one action per step, not recomputed from the root.
     """
     plan_horizon = plan_horizon or model.horizon
     actions = [first_action]
     steps = []
     built_sets = []
+    ratios = []
+    prefix = _open_loop_prefix(model, belief, [])
+    support = state_support(model, belief)
     for i in range(1, depth + 1):
+        prefix = _extended(model, prefix, actions[-1])
+        support = reachable_step(model, support, actions[-1])
         if observation_sets is not None:
-            built_sets = list(observation_sets[:i])
+            if len(observation_sets) < i:
+                raise ValueError("need one observation set per step")
+            built_sets.append(observation_sets[i - 1])
         elif allowed_top_m is not None:
-            built_sets.append(allowed_observation_sets(
-                model, belief, actions, allowed_top_m)[-1])
+            built_sets.append(_top_observations(model, prefix[1],
+                                                allowed_top_m))
         else:
             built_sets.append(frozenset(range(model.num_observations)))
-        step_sets = list(built_sets)
         try:
-            bound_map = _step_bounds(model, belief, actions,
+            ratios.append(_likelihood_ratio(model, support, built_sets[-1], i))
+            _check_open_prefix(topology, actions)
+            bound_map = _step_bounds(model, prefix, float(np.prod(ratios)),
                                      range(model.num_actions), topology,
-                                     plan_horizon, step_sets)
+                                     plan_horizon)
             separation = check_separation(bound_map)
         except (PositivityError, EmptyLikelihoodSupportError) as exc:
             steps.append(SrgStep(i, "failed", failure_reason=str(exc)))

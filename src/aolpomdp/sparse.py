@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DiscretePomdp, ParticleBelief, ParticleDepletionError,
-                   sample_transitions)
+                   cdf_table, sample_transitions)
 from .topology import AugmentedHistory, OPEN, Topology
 
 
@@ -31,6 +31,11 @@ class SparseConfig:
     def __post_init__(self):
         if min(self.num_particles, self.num_observations, self.horizon) < 1:
             raise ValueError("all sampling counts must be positive")
+        if self.num_state_branches is not None and self.num_state_branches < 1:
+            raise ValueError("num_state_branches must be positive, or None for "
+                             "num_observations")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
     @property
     def c(self) -> int:
@@ -44,64 +49,100 @@ class SparseConfig:
 _MODE_TAG = {"aol": 1, "afo": 2}
 
 
-def _rng(config: SparseConfig, mode: str, path: tuple) -> np.random.Generator:
-    return np.random.default_rng(
-        np.random.SeedSequence((config.seed, _MODE_TAG[mode]) + path))
+def _stream_head(seed: int, mode: str) -> tuple:
+    """The entropy words of `SeedSequence((seed, tag) + path)` before the
+    path: `seed` as 32-bit little-endian words, then the mode's tag."""
+    words = [seed & 0xFFFFFFFF]
+    while seed > 0xFFFFFFFF:
+        seed >>= 32
+        words.append(seed & 0xFFFFFFFF)
+    return tuple(words) + (_MODE_TAG[mode],)
+
+
+def _rng(words: tuple) -> np.random.Generator:
+    """`default_rng(SeedSequence(words))`, seeded from a uint32 array, which
+    holds the same entropy and is cheaper to mix than the tuple."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(np.array(words, dtype=np.uint32))))
+
+
+def _best_leaf(weights: np.ndarray, reward_rows: np.ndarray) -> float:
+    """Value of a leaf child: its best immediate reward.  `reward_rows` is
+    `reward[states].T` made C-contiguous, so row a gives the same dot product
+    as the column `reward[states, a]`."""
+    return max([float(weights @ row) for row in reward_rows])
+
+
+def _leaf_rows(model: DiscretePomdp, states: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(model.reward[states].T)
 
 
 def _estimate(model: DiscretePomdp, belief: ParticleBelief, action: int,
               history: AugmentedHistory, depth: int, topology: Topology,
-              config: SparseConfig, mode: str, path: tuple) -> float:
+              config: SparseConfig, mode: str, head: tuple,
+              path: tuple) -> float:
     immediate = float(belief.weights @ model.reward[belief.states, action])
     if depth + 1 >= config.horizon:
         return immediate
+    # Children on the last layer are scored by `_best_leaf`, not recursion.
+    leaves = depth + 2 >= config.horizon
     beta = topology.beta(history.key)
-    rng = _rng(config, mode, path)
+    rng = _rng(head + path)
+    next_states = sample_transitions(model, belief.states, action, rng)
+
+    def best(child, child_history, branch):
+        return max([_estimate(model, child, a, child_history, depth + 1,
+                              topology, config, mode, head,
+                              path + (action, branch, a))
+                    for a in range(model.num_actions)])
+
     if beta == OPEN and mode == "aol":
-        next_states = sample_transitions(model, belief.states, action, rng)
-        child = ParticleBelief(next_states, belief.weights)
-        child_h = history.extended_open(action)
-        future = max(_estimate(model, child, a, child_h, depth + 1, topology,
-                               config, mode, path + (action, 0, a))
-                     for a in range(model.num_actions))
-        return immediate + future
+        child = ParticleBelief._derived(next_states, belief.weights)
+        if leaves:
+            return immediate + _best_leaf(child.weights,
+                                          _leaf_rows(model, next_states))
+        return immediate + best(child, history.extended_open(action), 0)
     if beta == OPEN and mode == "afo":
-        pool = sample_transitions(model, belief.states, action, rng)
-        picks = rng.choice(belief.num_particles, size=config.fo_branches,
-                           p=belief.weights)
+        picks = cdf_table(belief.weights).searchsorted(
+            rng.random(config.fo_branches), side="right")
+        uniform = np.full(config.num_particles, 1.0 / config.num_particles)
         total = 0.0
-        for j, idx in enumerate(picks):
-            state = int(pool[idx])
-            child = ParticleBelief.from_states(
-                np.full(config.num_particles, state))
-            child_h = history.extended_fully_observable(action, state)
-            total += max(_estimate(model, child, a, child_h, depth + 1, topology,
-                                   config, mode, path + (action, j + 1, a))
-                         for a in range(model.num_actions))
+        for j, idx in enumerate(picks.tolist(), start=1):
+            state = int(next_states[idx])
+            child = ParticleBelief._derived(
+                np.full(config.num_particles, state), uniform)
+            if leaves:
+                total += _best_leaf(child.weights,
+                                    _leaf_rows(model, child.states))
+            else:
+                total += best(child,
+                              history.extended_fully_observable(action, state),
+                              j)
         return immediate + total / config.fo_branches
     # Closed-loop: propagate once, then sample observations from the
     # transitioned particles' predictive mixture and reweight per draw.
-    next_states = sample_transitions(model, belief.states, action, rng)
-    predictive = belief.weights @ model.observation[next_states]
+    likelihoods = model.observation[next_states]
+    predictive = belief.weights @ likelihoods
     mass = float(predictive.sum())
     if mass <= 0.0:
         raise ParticleDepletionError(
             "no observation has positive likelihood for any sampled particle",
             path=path)
-    draws = rng.choice(model.num_observations, size=config.num_observations,
-                       p=predictive / mass)
+    draws = cdf_table(predictive / mass).searchsorted(
+        rng.random(config.num_observations), side="right")
+    rows = _leaf_rows(model, next_states) if leaves else None
     total = 0.0
-    for j, z in enumerate(draws):
-        weights = belief.weights * model.observation[next_states, z]
+    for j, z in enumerate(draws.tolist(), start=1):
+        weights = belief.weights * likelihoods[:, z]
         if float(weights.sum()) <= 0.0:
             raise ParticleDepletionError(
-                f"sampled observation {int(z)} depleted the particle set",
-                path=path + (action, int(z)))
-        child = ParticleBelief(next_states, weights)
-        child_h = history.extended_closed(action, int(z))
-        total += max(_estimate(model, child, a, child_h, depth + 1, topology,
-                               config, mode, path + (action, j + 1, a))
-                     for a in range(model.num_actions))
+                f"sampled observation {z} depleted the particle set",
+                path=path + (action, z))
+        child = ParticleBelief._derived(next_states, weights)
+        if leaves:
+            total += _best_leaf(child.weights, rows)
+        else:
+            total += best(child, history.extended_closed(action, z), j)
     return immediate + total / config.num_observations
 
 
@@ -109,14 +150,14 @@ def estimate_lb(model: DiscretePomdp, belief: ParticleBelief, action: int,
                 topology: Topology, config: SparseConfig) -> float:
     """Sampled lower bound: adaptive open-loop value estimate."""
     return _estimate(model, belief, action, AugmentedHistory(), 0, topology,
-                     config, "aol", (action,))
+                     config, "aol", _stream_head(config.seed, "aol"), (action,))
 
 
 def estimate_ub(model: DiscretePomdp, belief: ParticleBelief, action: int,
                 topology: Topology, config: SparseConfig) -> float:
     """Sampled upper bound: adaptive fully-observable value estimate."""
     return _estimate(model, belief, action, AugmentedHistory(), 0, topology,
-                     config, "afo", (action,))
+                     config, "afo", _stream_head(config.seed, "afo"), (action,))
 
 
 def _subtree_signature(topology: Topology, action: int) -> tuple:

@@ -8,7 +8,7 @@ from aolpomdp import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                       exact_bayes_update, expected_reward,
                       observation_predictive, propagate_open_loop,
                       reachable_states)
-from aolpomdp.core import cdf_table
+from aolpomdp.core import cdf_table, sample_transitions
 from conftest import make_models
 
 
@@ -49,12 +49,13 @@ _entries = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6),
                      st.floats(1e-3, 1.0))
 
 
-@settings(deadline=None)
+@settings(deadline=None, derandomize=True)
 @given(st.lists(_entries, min_size=1, max_size=12).filter(lambda r: sum(r) > 0),
-       st.integers(0, 2 ** 32 - 1))
-def test_cdf_draws_match_generator_choice(entries, seed):
-    """A CDF-table draw is `Generator.choice(n, p=row)`: same indices from the
-    same uniforms, and the stream ends at the same position."""
+       st.integers(1, 40), st.integers(0, 2 ** 64 - 1))
+def test_cdf_draws_match_generator_choice(entries, k, seed):
+    """A CDF-table draw is `Generator.choice(n, p=row)`, one at a time or
+    `size=k` at once: same indices from the same uniforms, and the stream
+    ends at the same position."""
     row = np.array(entries) / np.sum(entries)
     cdf = cdf_table(np.stack([row, row[::-1]]))[0]
     table_rng = np.random.default_rng(seed)
@@ -63,7 +64,49 @@ def test_cdf_draws_match_generator_choice(entries, seed):
              for _ in range(200)]
     chosen = [int(choice_rng.choice(row.size, p=row)) for _ in range(200)]
     assert drawn == chosen
+    drawn = cdf_table(row).searchsorted(table_rng.random(k), side="right")
+    chosen = choice_rng.choice(row.size, size=k, p=row)
+    assert drawn.tolist() == chosen.tolist()
     assert table_rng.random() == choice_rng.random()
+
+
+class _StuckGenerator:
+    """Generator stub whose uniforms all sit just below 1."""
+
+    def random(self, n):
+        return np.full(n, 1.0 - 1e-11)
+
+
+def test_sample_transitions_stays_in_range_when_a_row_sums_below_one():
+    # Row 0 of action 0 sums to 1 - 5e-10, which validation accepts; a
+    # uniform above that total must still draw a state, not index S.
+    transition = np.full((1, 3, 3), 1.0 / 3.0)
+    transition[0, 0] = [0.5, 0.5 - 5e-10, 0.0]
+    model = DiscretePomdp(transition, np.full((3, 2), 0.5), np.zeros((3, 1)),
+                          np.full(3, 1.0 / 3.0), 1, 1.0)
+    drawn = sample_transitions(model, np.array([0, 0, 1]), 0, _StuckGenerator())
+    assert drawn.tolist() == [1, 1, 2]
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 9), _entries), min_size=1,
+                max_size=30).filter(lambda ps: sum(w for _, w in ps) > 0))
+def test_derived_particle_belief_matches_public_constructor(particles):
+    states = np.array([s for s, _ in particles], dtype=np.int64)
+    weights = np.array([w for _, w in particles])
+    public = ParticleBelief(states, weights)
+    derived = ParticleBelief._derived(states.copy(), weights.copy())
+    assert derived.weights.tolist() == public.weights.tolist()
+    assert derived.states.tolist() == public.states.tolist()
+    for array in (derived.states, derived.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_derived_particle_belief_keeps_the_depletion_error():
+    with pytest.raises(ParticleDepletionError):
+        ParticleBelief._derived(np.zeros(4, dtype=np.int64), np.zeros(4))
 
 
 def test_model_validates_reward_magnitude(tiger_like):

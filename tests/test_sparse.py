@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from aolpomdp import (ExactBelief, ParticleBelief, SparseConfig,
-                      SparsePftEvaluator, Topology, compute_bounds, estimate_lb,
-                      estimate_ub, exact_q_star)
+from aolpomdp import (ExactBelief, ParticleBelief, ParticleDepletionError,
+                      SparseConfig, SparsePftEvaluator, Topology, compute_bounds,
+                      estimate_lb, estimate_ub, exact_q_star, random_topology)
+from aolpomdp.sparse import _MODE_TAG, _rng, _stream_head
 from aolpomdp.topology import CLOSED, OPEN
 from conftest import make_models
 
@@ -102,3 +104,77 @@ def test_fo_branch_count_override():
     for config in (narrow, wide):
         value = estimate_ub(model, belief, 0, Topology.fully_open(), config)
         assert np.isfinite(value)
+
+
+def test_config_rejects_negative_seed_and_zero_state_branches():
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            SparseConfig(8, 3, 3, seed=seed)
+    with pytest.raises(ValueError, match="num_state_branches"):
+        SparseConfig(8, 3, 3, seed=0, num_state_branches=0)
+    assert SparseConfig(8, 3, 3, seed=2 ** 64 - 1).fo_branches == 3
+
+
+# (model, topology, seed) -> (estimate_lb, estimate_ub, estimate_ub with one
+# state branch), all for action 0 with N=8, NO=3, horizon 3.
+GOLDEN = {
+    (0, 'open', 3): (1.4882501584795418, 1.7985758140918375, 1.9700628215985607),
+    (0, 'open', 2 ** 40 + 3): (1.6395342214276147, 1.218590807435056, 2.1413111614774674),
+    (0, 'closed', 3): (1.4667790926515303, 1.422503077415072, 1.422503077415072),
+    (0, 'closed', 2 ** 40 + 3): (1.8458732800444722, 1.6198259237333827, 1.6198259237333827),
+    (0, 'random', 3): (1.436372832806263, 1.7305001320189253, 1.7579053739463193),
+    (0, 'random', 2 ** 40 + 3): (1.840137392984884, 1.695330315205819, 1.9336785188715346),
+    (1, 'open', 3): (0.7732858106898652, 0.8039522598200823, 0.879438903832924),
+    (1, 'open', 2 ** 40 + 3): (0.70959395480403, 0.6341073107911882, 0.70959395480403),
+    (1, 'closed', 3): (0.7703833371462412, 0.7472851931449396, 0.7472851931449396),
+    (1, 'closed', 2 ** 40 + 3): (0.6863109475905399, 0.729945860799061, 0.729945860799061),
+    (1, 'random', 3): (0.771055098442162, 0.7472851931449396, 0.7472851931449396),
+    (1, 'random', 2 ** 40 + 3): (0.6887838337960995, 0.7214638437008951, 0.7403355047041056),
+}
+
+
+def test_sparse_estimates_match_golden_literals():
+    """Estimates are pinned bit for bit: a change to the random streams, the
+    draw order or the order of any float sum shows here."""
+    models = make_models(89, 2, max_states=4, max_actions=3,
+                         max_observations=3)
+    for i, model in enumerate(models):
+        belief = particles_for(model, 8, i)
+        topologies = {"open": Topology.fully_open(),
+                      "closed": Topology.fully_closed(),
+                      "random": random_topology(model.num_actions,
+                                                model.num_observations, 3,
+                                                np.random.default_rng(i))}
+        for name, topo in topologies.items():
+            for seed in (3, 2 ** 40 + 3):
+                got = (estimate_lb(model, belief, 0, topo,
+                                   SparseConfig(8, 3, 3, seed)),
+                       estimate_ub(model, belief, 0, topo,
+                                   SparseConfig(8, 3, 3, seed)),
+                       estimate_ub(model, belief, 0, topo,
+                                   SparseConfig(8, 3, 3, seed, 1)))
+                assert got == GOLDEN[i, name, seed], (i, name, seed)
+
+
+def test_depletion_error_carries_the_node_path():
+    # Valid models cannot deplete (every observation row sums to 1), so the
+    # likelihoods are zeroed after validation.
+    model = make_models(5, 1)[0]
+    object.__setattr__(model, "observation", np.zeros_like(model.observation))
+    belief = particles_for(model, 8, 0)
+    topo = Topology.from_assignment({(): OPEN}, default_mode=CLOSED)
+    with pytest.raises(ParticleDepletionError) as info:
+        estimate_lb(model, belief, 1, topo, SparseConfig(8, 3, 3, seed=0))
+    # root (1,), then action 1's open-loop child (branch 0) and its action 0
+    assert info.value.path == (1, 1, 0, 0)
+
+
+@settings(deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 64 - 1), st.sampled_from(sorted(_MODE_TAG)),
+       st.lists(st.integers(0, 2 ** 32 - 1), max_size=7))
+def test_path_words_draw_the_tuple_seeded_stream(seed, mode, path):
+    path = tuple(path)
+    expected = np.random.default_rng(
+        np.random.SeedSequence((seed, _MODE_TAG[mode]) + path))
+    got = _rng(_stream_head(seed, mode) + path)
+    assert got.random(8).tolist() == expected.random(8).tolist()
