@@ -8,6 +8,7 @@ environment streams, so the two arms see identical environment randomness.
 """
 from __future__ import annotations
 
+import logging
 import statistics
 import time
 from dataclasses import dataclass, field
@@ -27,6 +28,8 @@ from .pomcp import AtPomcp, PomcpConfig
 from .replan import SkipConfig, execute_with_skipping
 from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb
 from .topology import Topology, random_topology
+
+logger = logging.getLogger(__name__)
 
 FMT = "{:.9g}"
 DEPLETION_RETRIES = 3
@@ -96,19 +99,28 @@ class ExperimentConfig:
             width = config_int(doc, "environment.width", 20)
             height = config_int(doc, "environment.height", 20)
 
-            def clamp(x, y):
-                return (min(x, width - 1), min(y, height - 1))
+            def clamp(name, default, size):
+                key = f"environment.{name}"
+                value = config_int(doc, key, default)
+                if value < size:
+                    return value
+                logger.warning("%s %d -> %d: outside the %dx%d grid", key,
+                               value, size - 1, width, height)
+                return size - 1
 
+            obstacles = GridWorldSpec.__dataclass_fields__["obstacles"].default
+            if min(width, height) < 10:
+                logger.warning("default obstacles %s dropped: the %dx%d grid "
+                               "is smaller than 10x10", obstacles, width, height)
+                obstacles = ()
             spec = GridWorldSpec(
                 width=width, height=height,
-                beacons=(clamp(config_int(doc, "environment.beacon_x", 3),
-                               config_int(doc, "environment.beacon_y", 3)),),
-                obstacles=() if min(width, height) < 10
-                else GridWorldSpec.__dataclass_fields__["obstacles"].default,
-                goal=clamp(config_int(doc, "environment.goal_x", 7),
-                           config_int(doc, "environment.goal_y", 5)),
-                start=clamp(config_int(doc, "environment.start_x", 1),
-                            config_int(doc, "environment.start_y", 3)),
+                beacons=((clamp("beacon_x", 3, width),
+                          clamp("beacon_y", 3, height)),),
+                obstacles=obstacles,
+                goal=(clamp("goal_x", 7, width), clamp("goal_y", 5, height)),
+                start=(clamp("start_x", 1, width),
+                       clamp("start_y", 3, height)),
                 horizon=config_int(doc, "environment.horizon", 3),
                 paper_obs_model=compat)
         skip = SkipConfig(

@@ -30,7 +30,7 @@ class ParticleDepletionError(RuntimeError):
 def _check_prob_vector(vec: np.ndarray, name: str) -> None:
     if np.any(vec < -PROB_TOL):
         raise ValueError(f"{name} has negative entries")
-    if abs(float(vec.sum()) - 1.0) > PROB_TOL:
+    if not abs(float(vec.sum()) - 1.0) <= PROB_TOL:  # also rejects NaN
         raise ValueError(f"{name} does not sum to 1 (sum={vec.sum()!r})")
 
 
@@ -75,16 +75,17 @@ class DiscretePomdp:
         if self.horizon < 1:
             raise ValueError("horizon must be positive")
         for name, arr in (("transition", t), ("observation", z)):
-            if arr.min() < 0.0:
-                first = np.argwhere(arr < 0.0)[0].tolist()
-                raise ValueError(f"{name}{first} is negative")
+            if not arr.min() >= 0.0:  # also rejects NaN
+                first = np.argwhere(~(arr >= 0.0))[0].tolist()
+                raise ValueError(f"{name}{first} is negative or NaN")
         for a in range(num_a):
             for s in range(num_s):
                 _check_prob_vector(t[a, s], f"transition[{a},{s}]")
         for s in range(num_s):
             _check_prob_vector(z[s], f"observation[{s}]")
         _check_prob_vector(b0, "initial_belief")
-        if not np.isfinite(self.r_max) or np.any(np.abs(r) > self.r_max + PROB_TOL):
+        if (not np.isfinite(self.r_max)
+                or not np.all(np.abs(r) <= self.r_max + PROB_TOL)):
             raise ValueError("rewards must satisfy |r| <= r_max")
         for arr in (t, z, r, b0):
             arr.setflags(write=False)
@@ -150,12 +151,6 @@ class ExactBelief:
         belief = object.__new__(cls)
         object.__setattr__(belief, "probabilities", p)
         return belief
-
-    @classmethod
-    def point_mass(cls, state: int, num_states: int) -> "ExactBelief":
-        p = np.zeros(num_states)
-        p[state] = 1.0
-        return cls._derived(p)
 
     @classmethod
     def uniform(cls, num_states: int) -> "ExactBelief":

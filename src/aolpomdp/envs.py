@@ -45,10 +45,12 @@ class GridWorldSpec:
     def __post_init__(self):
         if abs(self.p_intended + self.p_adjacent + self.p_stay - 1.0) > 1e-9:
             raise ValueError("transition probabilities must sum to 1")
-        cells = {self.goal, self.start, *self.beacons}
-        for x, y in cells:
+        cells = [("goal", self.goal), ("start", self.start),
+                 *(("beacon", c) for c in self.beacons),
+                 *(("obstacle", c) for c in self.obstacles)]
+        for kind, (x, y) in cells:
             if not (0 <= x < self.width and 0 <= y < self.height):
-                raise ValueError(f"cell {(x, y)} is out of bounds")
+                raise ValueError(f"{kind} cell {(x, y)} is out of bounds")
         if self.goal in set(self.obstacles):
             raise ValueError("goal must not be an obstacle")
         if self.start in set(self.obstacles):

@@ -7,9 +7,11 @@ branches enumerate every next state with its exact transition probability.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .core import DiscretePomdp, ExactBelief, expected_reward
 from .topology import (AugmentedHistory, NodeBudgetError, Topology,
-                       exact_children)
+                       exact_branches, exact_children)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -26,6 +28,21 @@ class _Budget:
             raise NodeBudgetError("exact enumeration exceeded the node budget")
 
 
+def best_immediate_rewards(model: DiscretePomdp,
+                           beliefs: np.ndarray) -> np.ndarray:
+    """max_a r(b, a) for each row b of the (K, S) array `beliefs`, all K×A
+    pairs in one call.
+
+    Each (1, S) @ (S, 1) core of the matmul is one vector dot over the same
+    strided reward column as `b @ reward[:, a]` (`expected_reward`), so every
+    score is bit-identical to it; the gemm `beliefs @ reward` sums in another
+    order.
+    """
+    scores = np.matmul(beliefs[:, None, None, :],
+                       model.reward.T[None, :, :, None])
+    return scores[..., 0, 0].max(axis=1)
+
+
 def _q_value(model: DiscretePomdp, belief: ExactBelief, action: int,
              history: AugmentedHistory, depth: int, end_depth: int,
              topology: Topology, kind: str, budget: _Budget) -> float:
@@ -34,17 +51,18 @@ def _q_value(model: DiscretePomdp, belief: ExactBelief, action: int,
     if depth + 1 >= end_depth:
         return immediate
     future = 0.0
-    children = exact_children(model, belief, history, action,
-                              topology.beta(history.key), kind)
+    beta = topology.beta(history.key)
     if depth + 2 >= end_depth:
         # last layer: each child's value is its best immediate reward
-        columns = [model.reward[:, a] for a in range(model.num_actions)]
-        for p, _, child_b in children:
-            budget.spend(len(columns))
-            future += p * max(float(child_b.probabilities @ column)
-                              for column in columns)
+        probabilities, _, beliefs = exact_branches(model, belief, action,
+                                                   beta, kind)
+        budget.spend(len(probabilities) * model.num_actions)
+        for p, value in zip(probabilities,
+                            best_immediate_rewards(model, beliefs).tolist()):
+            future += p * value
         return immediate + future
-    for p, child_h, child_b in children:
+    for p, child_h, child_b in exact_children(model, belief, history, action,
+                                              beta, kind):
         future += p * max(_q_value(model, child_b, a, child_h, depth + 1,
                                    end_depth, topology, kind, budget)
                           for a in range(model.num_actions))

@@ -218,34 +218,50 @@ def refine_topology(topology: Topology, selection,
     return topology
 
 
+def exact_branches(model: DiscretePomdp, belief: ExactBelief, action: int,
+                   beta: int, kind: str):
+    """Every branch of taking `action` at a node of mode `beta`, as arrays.
+
+    Returns (probabilities, labels, beliefs): the branch probabilities and
+    labels as lists and the child beliefs as the rows of one read-only,
+    C-contiguous (K, S) array.  Open nodes of the lower-bound tree (`kind`
+    "aol") have one branch, the open-loop propagated belief, labelled None;
+    open nodes of the upper-bound tree ("afo") branch on each reachable next
+    state (the label) with a point-mass belief; closed nodes branch on each
+    observation (the label) of non-negligible predictive probability with its
+    Bayes posterior.
+    """
+    propagated = model.transition[action].T @ belief.probabilities
+    if beta == OPEN and kind == "aol":
+        beliefs = propagated[None, :]
+        beliefs.setflags(write=False)
+        return [1.0], [None], beliefs
+    if beta == OPEN:
+        states = (propagated > 0.0).nonzero()[0]
+        beliefs = np.zeros((states.size, model.num_states))
+        beliefs[np.arange(states.size), states] = 1.0
+        beliefs.setflags(write=False)
+        return propagated[states].tolist(), states.tolist(), beliefs
+    kept = (propagated @ model.observation > PROB_TOL).nonzero()[0]
+    evidence, posteriors = condition(model, propagated, kept, action)
+    return evidence.tolist(), kept.tolist(), posteriors
+
+
 def exact_children(model: DiscretePomdp, belief: ExactBelief,
                    history: AugmentedHistory, action: int, beta: int,
                    kind: str):
     """Yield (probability, child history, child belief) for every branch of
-    taking `action` at a node of mode `beta`.
-
-    Open nodes of the lower-bound tree (`kind` "aol") have one child, the
-    open-loop propagated belief; open nodes of the upper-bound tree ("afo")
-    branch on each reachable next state with a point-mass belief; closed
-    nodes branch on each observation of non-negligible predictive
-    probability with its Bayes posterior.
-    """
-    propagated = model.transition[action].T @ belief.probabilities
+    `exact_branches`."""
+    probabilities, labels, beliefs = exact_branches(model, belief, action,
+                                                    beta, kind)
     if beta == OPEN and kind == "aol":
-        yield (1.0, history.extended_open(action),
-               ExactBelief._derived(propagated))
+        extend = lambda _: history.extended_open(action)
     elif beta == OPEN:
-        for x in np.flatnonzero(propagated > 0.0).tolist():
-            yield (float(propagated[x]),
-                   history.extended_fully_observable(action, x),
-                   ExactBelief.point_mass(x, model.num_states))
+        extend = lambda x: history.extended_fully_observable(action, x)
     else:
-        kept = np.flatnonzero(propagated @ model.observation > PROB_TOL)
-        evidence, posteriors = condition(model, propagated, kept, action)
-        for z, p, posterior in zip(kept.tolist(), evidence.tolist(),
-                                   posteriors):
-            yield (p, history.extended_closed(action, z),
-                   ExactBelief._derived(posterior))
+        extend = lambda z: history.extended_closed(action, z)
+    for p, label, row in zip(probabilities, labels, beliefs):
+        yield p, extend(label), ExactBelief._derived(row)
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import logging
+
 import pytest
 
 from aolpomdp import bench
@@ -45,6 +47,27 @@ def test_config_rejects_unknown_key(tmp_path):
     config_path.write_text(text)
     assert cli_main(["run", "--config", str(config_path),
                      "--out-dir", str(tmp_path / "out")]) == 1
+
+
+def test_config_logs_clamped_cells_and_dropped_obstacles(caplog):
+    text = ("environment.kind beacon\nenvironment.width 5\n"
+            "environment.height 6\nenvironment.beacon_x 9\nseeds 0\n")
+    with caplog.at_level(logging.WARNING, logger="aolpomdp.bench"):
+        config = ExperimentConfig.from_document(text)
+    assert (config.spec.beacons, config.spec.goal, config.spec.start,
+            config.spec.obstacles) == (((4, 3),), (4, 5), (1, 3), ())
+    assert [r.getMessage() for r in caplog.records] == [
+        "default obstacles ((2, 3), (2, 4), (9, 3)) dropped: the 5x6 grid "
+        "is smaller than 10x10",
+        "environment.beacon_x 9 -> 4: outside the 5x6 grid",
+        "environment.goal_x 7 -> 4: outside the 5x6 grid",
+    ]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="aolpomdp.bench"):
+        config = ExperimentConfig.from_document(
+            "environment.width 10\nenvironment.height 10\nseeds 0\n")
+    assert config.spec.obstacles == ((2, 3), (2, 4), (9, 3))
+    assert not caplog.records
 
 
 def test_config_requires_seeds():

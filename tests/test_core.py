@@ -9,6 +9,7 @@ from aolpomdp import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                       observation_predictive, propagate_open_loop,
                       reachable_states)
 from aolpomdp.core import cdf_table, sample_transitions
+from aolpomdp.topology import OPEN, AugmentedHistory, exact_children
 from conftest import make_models
 
 
@@ -29,6 +30,24 @@ def test_model_rejects_negative_entries(tiger_like, tensor):
     with pytest.raises(ValueError, match="negative"):
         DiscretePomdp(arrays["transition"], arrays["observation"],
                       tiger_like.reward, tiger_like.initial_belief, 2, 20.0)
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("transition", "NaN"), ("observation", "NaN"), ("reward", "r_max"),
+    ("initial_belief", "sum to 1")])
+def test_model_rejects_nan_entries(tiger_like, entry, message):
+    arrays = {name: getattr(tiger_like, name).copy()
+              for name in ("transition", "observation", "reward",
+                           "initial_belief")}
+    arrays[entry].flat[0] = np.nan
+    with pytest.raises(ValueError, match=message):
+        DiscretePomdp(arrays["transition"], arrays["observation"],
+                      arrays["reward"], arrays["initial_belief"], 2, 20.0)
+
+
+def test_public_belief_rejects_nan():
+    with pytest.raises(ValueError, match="sum to 1"):
+        ExactBelief(np.array([np.nan, 1.0]))
 
 
 def test_cdf_tables_are_row_cdfs_and_read_only():
@@ -190,8 +209,9 @@ def test_public_belief_validates_and_derived_beliefs_are_read_only():
     model = make_models(3, 1)[0]
     belief = ExactBelief(model.initial_belief)
     derived = [exact_bayes_update(model, belief, 0, 0)[0],
-               propagate_open_loop(model, belief, [0, 1]),
-               ExactBelief.point_mass(1, model.num_states)]
+               propagate_open_loop(model, belief, [0, 1])]
+    derived += [child for _, _, child in exact_children(
+        model, belief, AugmentedHistory(), 0, OPEN, "afo")]
     for child in derived:
         assert not child.probabilities.flags.writeable
         with pytest.raises(ValueError):

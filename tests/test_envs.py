@@ -130,3 +130,11 @@ def test_environment_terminates_at_goal(small_spec):
         _, _, done = env.step(3 if env.steps % 2 == 0 else 1)
     assert (small_spec.cell(env.state) == small_spec.goal
             or env.steps >= env.step_limit)
+
+
+@pytest.mark.parametrize("cells", [dict(obstacles=((6, 0),)),
+                                   dict(obstacles=((0, -1),)),
+                                   dict(goal=(0, 6)), dict(beacons=((6, 6),))])
+def test_spec_rejects_cells_outside_the_grid(small_spec, cells):
+    with pytest.raises(ValueError, match="out of bounds"):
+        GridWorldSpec(**{**small_spec.__dict__, **cells})

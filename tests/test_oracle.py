@@ -6,9 +6,10 @@ from aolpomdp import (ExactBelief, Topology, exact_afo_value, exact_aol_value,
                       exact_q_star, random_topology)
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
-from aolpomdp.oracle import exact_continuation_value
-from aolpomdp.topology import (OPEN, AugmentedHistory, NodeBudgetError,
-                               enumerate_keys)
+from aolpomdp.oracle import best_immediate_rewards, exact_continuation_value
+from aolpomdp.topology import (CLOSED, OPEN, AugmentedHistory,
+                               NodeBudgetError, enumerate_keys,
+                               exact_branches, exact_children)
 from conftest import make_models
 
 
@@ -212,3 +213,48 @@ def test_closing_a_node_never_loosens_a_bound(seed, pick):
         assert (exact_afo_value(model, belief, a, refined, model.horizon)
                 <= exact_afo_value(model, belief, a, topology,
                                    model.horizon) + 1e-9)
+
+
+def _branch_history(history, action, beta, kind, label):
+    if beta == CLOSED:
+        return history.extended_closed(action, label)
+    if kind == "afo":
+        return history.extended_fully_observable(action, label)
+    return history.extended_open(action)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_batched_leaf_scores_match_per_child_dots(seed):
+    """For every branch kind: the batched last-layer score of each branch
+    `==` its best per-action dot `row @ reward[:, a]`; `exact_children`
+    yields the rows of `exact_branches`; and a horizon-2 value sums
+    probability times score in branch order.  Up to 12 states."""
+    gen = np.random.default_rng(seed)
+    model = random_tiny_model(gen, max_states=12, max_observations=4)
+    belief = ExactBelief(gen.dirichlet(np.ones(model.num_states)))
+    action = int(gen.integers(model.num_actions))
+    history = AugmentedHistory().extended_open(0)
+    columns = [model.reward[:, a] for a in range(model.num_actions)]
+    for beta, kind, value in ((OPEN, "aol", exact_aol_value),
+                              (OPEN, "afo", exact_afo_value),
+                              (CLOSED, "aol", exact_aol_value)):
+        probabilities, labels, beliefs = exact_branches(model, belief, action,
+                                                        beta, kind)
+        assert beliefs.flags.c_contiguous and not beliefs.flags.writeable
+        per_child = [max(float(row @ column) for column in columns)
+                     for row in beliefs]
+        assert best_immediate_rewards(model, beliefs).tolist() == per_child
+        children = list(exact_children(model, belief, history, action, beta,
+                                       kind))
+        assert [(p, h) for p, h, _ in children] == [
+            (p, _branch_history(history, action, beta, kind, label))
+            for p, label in zip(probabilities, labels)]
+        for (_, _, child), row in zip(children, beliefs):
+            assert np.array_equal(child.probabilities, row)
+        future = 0.0
+        for p, score in zip(probabilities, per_child):
+            future += p * score
+        topology = Topology(default_mode=beta)
+        assert value(model, belief, action, topology, 2) \
+            == float(belief.probabilities @ columns[action]) + future
