@@ -13,13 +13,13 @@ from .pomcp import AtPomcp, PomcpConfig, SearchResult
 from .replan import (SkipConfig, SrgCertificate, check_srg, compute_ck,
                      execute_with_skipping, future_bounds)
 from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb, estimate_ub
-from .topology import CLOSED, OPEN, AugmentedHistory, Topology, build_tree, \
-    random_topology, refine_topology
+from .topology import (CLOSED, OPEN, Topology, build_tree, random_topology,
+                       refine_topology)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtPomcp", "AugmentedHistory", "BoundPair", "CLOSED", "DiscretePomdp",
+    "AtPomcp", "BoundPair", "CLOSED", "DiscretePomdp",
     "ExactBelief", "ExactEvaluator", "GridEnvironment", "GridWorldSpec",
     "ImpossibleObservationError", "OPEN", "ParticleBelief",
     "ParticleDepletionError", "PlanResult", "PomcpConfig", "SearchResult",

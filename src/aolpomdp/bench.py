@@ -68,7 +68,6 @@ class ExperimentConfig:
     skip: SkipConfig = field(default_factory=lambda: SkipConfig(enabled=False))
     steps: int = 10
     seeds: list = field(default_factory=lambda: [0])
-    compat_paper_obsmodel: bool = False
 
     def __post_init__(self):
         if not self.seeds:
@@ -146,8 +145,7 @@ class ExperimentConfig:
             pw_k=config_float(doc, "solver.pw_k", 100.0),
             pw_alpha=config_float(doc, "solver.pw_alpha", 1.0),
             run_baseline=config_bool(doc, "baseline.enabled", True),
-            skip=skip, steps=config_int(doc, "steps", 10), seeds=seeds,
-            compat_paper_obsmodel=compat)
+            skip=skip, steps=config_int(doc, "steps", 10), seeds=seeds)
 
 
 @dataclass

@@ -175,9 +175,11 @@ class ParticleBelief:
             raise ValueError("at least one particle is required")
         if w.shape != s.shape:
             raise ValueError("weights must match particles")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+        if not w.min() >= 0.0:
+            raise ValueError("weights must be non-negative, not NaN")
         total = float(w.sum())
+        if not np.isfinite(total):
+            raise ValueError("total particle weight must be finite")
         if total <= 0.0:
             raise ParticleDepletionError("total particle weight is zero")
         w = w / total
@@ -214,9 +216,6 @@ class ParticleBelief:
         states = rng.choice(belief.probabilities.size, size=num_particles,
                             p=belief.probabilities)
         return cls.from_states(states)
-
-    def to_histogram(self, num_states: int) -> np.ndarray:
-        return np.bincount(self.states, weights=self.weights, minlength=num_states)
 
     @property
     def num_particles(self) -> int:

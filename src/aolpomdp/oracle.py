@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DiscretePomdp, ExactBelief, expected_reward
-from .topology import (AugmentedHistory, NodeBudgetError, Topology,
-                       exact_branches, exact_children)
+from .topology import (NodeBudgetError, Topology, child_key, exact_branches,
+                       key_depth)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 
@@ -44,26 +44,27 @@ def best_immediate_rewards(model: DiscretePomdp,
 
 
 def _q_value(model: DiscretePomdp, belief: ExactBelief, action: int,
-             history: AugmentedHistory, depth: int, end_depth: int,
+             key: tuple, depth: int, end_depth: int,
              topology: Topology, kind: str, budget: _Budget) -> float:
     budget.spend()
     immediate = expected_reward(model, belief, action)
     if depth + 1 >= end_depth:
         return immediate
     future = 0.0
-    beta = topology.beta(history.key)
+    beta = topology.beta(key)
+    probabilities, labels, beliefs = exact_branches(model, belief, action,
+                                                    beta, kind)
     if depth + 2 >= end_depth:
         # last layer: each child's value is its best immediate reward
-        probabilities, _, beliefs = exact_branches(model, belief, action,
-                                                   beta, kind)
         budget.spend(len(probabilities) * model.num_actions)
         for p, value in zip(probabilities,
                             best_immediate_rewards(model, beliefs).tolist()):
             future += p * value
         return immediate + future
-    for p, child_h, child_b in exact_children(model, belief, history, action,
-                                              beta, kind):
-        future += p * max(_q_value(model, child_b, a, child_h, depth + 1,
+    for p, label, row in zip(probabilities, labels, beliefs):
+        child = ExactBelief._derived(row)
+        child_k = child_key(key, action, beta, label)
+        future += p * max(_q_value(model, child, a, child_k, depth + 1,
                                    end_depth, topology, kind, budget)
                           for a in range(model.num_actions))
     return immediate + future
@@ -72,7 +73,7 @@ def _q_value(model: DiscretePomdp, belief: ExactBelief, action: int,
 def exact_q_star(model: DiscretePomdp, belief: ExactBelief, action: int,
                  horizon: int, node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Exact optimal Q-value of the original POMDP over `horizon` steps."""
-    return _q_value(model, belief, action, AugmentedHistory(), 0, horizon,
+    return _q_value(model, belief, action, (), 0, horizon,
                     Topology.fully_closed(), "aol", _Budget(node_budget))
 
 
@@ -81,7 +82,7 @@ def exact_aol_value(model: DiscretePomdp, belief: ExactBelief, action: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Optimal adaptive open-loop value: at open nodes the next action is
     chosen before the observation expectation, over the propagated belief."""
-    return _q_value(model, belief, action, AugmentedHistory(), 0, horizon,
+    return _q_value(model, belief, action, (), 0, horizon,
                     topology, "aol", _Budget(node_budget))
 
 
@@ -89,16 +90,16 @@ def exact_afo_value(model: DiscretePomdp, belief: ExactBelief, action: int,
                     topology: Topology, horizon: int,
                     node_budget: int = DEFAULT_NODE_BUDGET) -> float:
     """Optimal adaptive fully-observable value: at simplified nodes the true
-    next state enters the history, so the backup maximizes per state branch."""
-    return _q_value(model, belief, action, AugmentedHistory(), 0, horizon,
+    next state is revealed, so the backup maximizes per state branch."""
+    return _q_value(model, belief, action, (), 0, horizon,
                     topology, "afo", _Budget(node_budget))
 
 
 def exact_continuation_value(model: DiscretePomdp, belief: ExactBelief,
-                             action: int, start_history: AugmentedHistory,
-                             start_depth: int, end_depth: int,
+                             action: int, start_key: tuple, end_depth: int,
                              topology: Topology, kind: str,
                              node_budget: int = DEFAULT_NODE_BUDGET) -> float:
-    """Exact value of a subtree rooted mid-tree (used by extended-horizon Q)."""
-    return _q_value(model, belief, action, start_history, start_depth, end_depth,
-                    topology, kind, _Budget(node_budget))
+    """Exact value of a subtree rooted mid-tree at the node keyed `start_key`
+    (used by extended-horizon Q)."""
+    return _q_value(model, belief, action, start_key, key_depth(start_key),
+                    end_depth, topology, kind, _Budget(node_budget))

@@ -1,8 +1,8 @@
 """Anytime MCTS solver with progressive topology adaptation (AT-POMCP).
 
-UCB tree search over augmented histories: under an open topology sibling
-observation branches merge into a single node, so the tree stays small; on a
-progressive schedule (triggered once the simulation index exceeds
+UCB tree search over node keys (`topology.child_key`): under an open topology
+sibling observation branches merge into a single node, so the tree stays
+small; on a progressive schedule (triggered once the simulation index exceeds
 pw_k * j**pw_alpha) randomly chosen visited open nodes are switched to
 closed-loop.  Transitioned nodes keep their visit counts and values; the
 running mean converges to the new-topology value as visits accumulate.
@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscretePomdp, ExactBelief, ParticleBelief, cdf_table
-from .topology import (AugmentedHistory, OPEN, Topology, key_depth,
-                       refine_topology)
+from .topology import OPEN, Topology, child_key, key_depth, refine_topology
 
 
 @dataclass(frozen=True)
@@ -167,11 +166,10 @@ class AtPomcp:
                 (sim_index, self.adaptation_index, len(flipped),
                  self.open_fraction()))
 
-    def simulate(self, state: int, history: AugmentedHistory, depth: int,
+    def simulate(self, state: int, key: tuple, depth: int,
                  sim_index: int) -> float:
         if depth >= self.config.horizon:
             return 0.0
-        key = history.key
         if key not in self.tree:
             self._node(key)
             return self._rollout(state, depth)
@@ -179,10 +177,7 @@ class AtPomcp:
         action = self._ucb_action(node)
         next_state, obs, reward = self._generate(state, action)
         self._maybe_adapt(sim_index)
-        if self.topology.beta(key) == OPEN:
-            child = history.extended_open(action)
-        else:
-            child = history.extended_closed(action, obs)
+        child = child_key(key, action, self.topology.beta(key), obs)
         future = self.simulate(next_state, child, depth + 1, sim_index)
         total = reward + future
         node.visits += 1
@@ -206,7 +201,6 @@ class AtPomcp:
             root_cdf = cdf_table(root_belief.weights)
         else:
             raise TypeError("root belief must be exact or particle-based")
-        root = AugmentedHistory()
         deadline = None
         if self.config.num_simulations is None:
             deadline = time.perf_counter() + self.config.time_budget_ms / 1000.0
@@ -220,9 +214,9 @@ class AtPomcp:
                 break
             state = int(states[root_cdf.searchsorted(self.rng.random(),
                                                      side="right")])
-            self.simulate(state, root, 0, sim_index)
+            self.simulate(state, (), 0, sim_index)
         self.diagnostics.simulations = sim_index - 1
-        root_node = self._node(root.key)
+        root_node = self._node(())
         visited = root_node.action_visits > 0
         values = np.where(visited, root_node.action_values, -np.inf)
         best = int(np.argmax(values)) if visited.any() else 0

@@ -20,7 +20,8 @@ from .core import (DiscretePomdp, ExactBelief, expected_reward,
                    propagate_open_loop, reachable_step, state_support,
                    exact_bayes_update)
 from .oracle import exact_continuation_value
-from .topology import AugmentedHistory, OPEN, Topology, TopologyContractError
+from .topology import (OPEN, Topology, TopologyContractError, child_key,
+                       key_depth)
 
 
 class EmptyLikelihoodSupportError(ValueError):
@@ -38,7 +39,6 @@ class LikelihoodRatioFactor:
     value: float
     per_step: tuple
     observation_sets: tuple
-    reachable_sets: tuple
 
 
 @dataclass
@@ -67,10 +67,6 @@ class SrgCertificate:
             n += 1
         return n
 
-    @property
-    def valid(self) -> bool:
-        return self.certified_depth == self.depth
-
 
 def _likelihood_ratio(model: DiscretePomdp, support: np.ndarray,
                       observations, step: int) -> float:
@@ -95,17 +91,14 @@ def compute_ck(model: DiscretePomdp, belief, actions,
     if len(observation_sets) != k:
         raise ValueError("need one observation set per step")
     per_step = []
-    reachable_sets = []
     support = state_support(model, belief)
     for j, (action, obs_set) in enumerate(zip(actions, observation_sets),
                                           start=1):
         support = reachable_step(model, support, action)
-        reachable_sets.append(frozenset(np.flatnonzero(support).tolist()))
         per_step.append(_likelihood_ratio(model, support, obs_set, j))
     value = float(np.prod(per_step)) if per_step else 1.0
     return LikelihoodRatioFactor(value, tuple(per_step),
-                                 tuple(frozenset(s) for s in observation_sets),
-                                 tuple(reachable_sets))
+                                 tuple(frozenset(s) for s in observation_sets))
 
 
 def _check_open_prefix(topology: Topology, forced_actions) -> None:
@@ -116,17 +109,17 @@ def _check_open_prefix(topology: Topology, forced_actions) -> None:
 
 def _extended(model: DiscretePomdp, prefix, action: int):
     """`prefix` extended open-loop by `action`: one propagation."""
-    rewards, belief, history = prefix
+    rewards, belief, key = prefix
     return (rewards + expected_reward(model, belief, action),
             propagate_open_loop(model, belief, [action]),
-            history.extended_open(action))
+            child_key(key, action, OPEN, None))
 
 
 def _open_loop_prefix(model: DiscretePomdp, belief: ExactBelief,
                       forced_actions):
-    """(sum of expected rewards, propagated belief, history) along the
+    """(sum of expected rewards, propagated belief, node key) along the
     open-loop prefix."""
-    prefix = (0.0, belief, AugmentedHistory())
+    prefix = (0.0, belief, ())
     for a in forced_actions:
         prefix = _extended(model, prefix, a)
     return prefix
@@ -134,11 +127,10 @@ def _open_loop_prefix(model: DiscretePomdp, belief: ExactBelief,
 
 def _q_tilde(model: DiscretePomdp, prefix, action: int, topology: Topology,
              plan_horizon: int, mode: str, node_budget: int = 10 ** 6) -> float:
-    rewards, propagated, history = prefix
-    k = history.depth
+    rewards, propagated, key = prefix
     return rewards + exact_continuation_value(
-        model, propagated, action, history, k, k + plan_horizon, topology,
-        mode, node_budget)
+        model, propagated, action, key, key_depth(key) + plan_horizon,
+        topology, mode, node_budget)
 
 
 def q_tilde(model: DiscretePomdp, belief: ExactBelief, forced_actions,
@@ -156,7 +148,8 @@ def _step_bounds(model: DiscretePomdp, prefix, c_k: float, candidates,
                  tolerance: float = 1e-9) -> dict:
     """`future_bounds` of each candidate after one shared open-loop prefix
     (from `_open_loop_prefix`) with likelihood-ratio factor `c_k`."""
-    rewards, _, history = prefix
+    rewards, _, key = prefix
+    k = key_depth(key)
     bound_map = {}
     for candidate in candidates:
         res_aol = _q_tilde(model, prefix, candidate, topology, plan_horizon,
@@ -169,7 +162,7 @@ def _step_bounds(model: DiscretePomdp, prefix, c_k: float, candidates,
                 f"afo={res_afo:.6g})")
         bound_map[candidate] = BoundPair(
             c_k * res_aol, res_afo / c_k, candidate, topology.topology_id,
-            {"c_k": c_k, "k": history.depth})
+            {"c_k": c_k, "k": k})
     return bound_map
 
 

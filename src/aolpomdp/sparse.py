@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import (DiscretePomdp, ParticleBelief, ParticleDepletionError,
                    cdf_table, sample_transitions)
-from .topology import AugmentedHistory, OPEN, Topology
+from .topology import OPEN, Topology, child_key
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def _leaf_rows(model: DiscretePomdp, states: np.ndarray) -> np.ndarray:
 
 
 def _estimate(model: DiscretePomdp, belief: ParticleBelief, action: int,
-              history: AugmentedHistory, depth: int, topology: Topology,
+              key: tuple, depth: int, topology: Topology,
               config: SparseConfig, mode: str, head: tuple,
               path: tuple) -> float:
     immediate = float(belief.weights @ model.reward[belief.states, action])
@@ -86,12 +86,13 @@ def _estimate(model: DiscretePomdp, belief: ParticleBelief, action: int,
         return immediate
     # Children on the last layer are scored by `_best_leaf`, not recursion.
     leaves = depth + 2 >= config.horizon
-    beta = topology.beta(history.key)
+    beta = topology.beta(key)
     rng = _rng(head + path)
     next_states = sample_transitions(model, belief.states, action, rng)
 
-    def best(child, child_history, branch):
-        return max([_estimate(model, child, a, child_history, depth + 1,
+    def best(child, label, branch):
+        child_k = child_key(key, action, beta, label)
+        return max([_estimate(model, child, a, child_k, depth + 1,
                               topology, config, mode, head,
                               path + (action, branch, a))
                     for a in range(model.num_actions)])
@@ -101,7 +102,7 @@ def _estimate(model: DiscretePomdp, belief: ParticleBelief, action: int,
         if leaves:
             return immediate + _best_leaf(child.weights,
                                           _leaf_rows(model, next_states))
-        return immediate + best(child, history.extended_open(action), 0)
+        return immediate + best(child, None, 0)
     if beta == OPEN and mode == "afo":
         picks = cdf_table(belief.weights).searchsorted(
             rng.random(config.fo_branches), side="right")
@@ -115,9 +116,7 @@ def _estimate(model: DiscretePomdp, belief: ParticleBelief, action: int,
                 total += _best_leaf(child.weights,
                                     _leaf_rows(model, child.states))
             else:
-                total += best(child,
-                              history.extended_fully_observable(action, state),
-                              j)
+                total += best(child, state, j)
         return immediate + total / config.fo_branches
     # Closed-loop: propagate once, then sample observations from the
     # transitioned particles' predictive mixture and reweight per draw.
@@ -142,22 +141,22 @@ def _estimate(model: DiscretePomdp, belief: ParticleBelief, action: int,
         if leaves:
             total += _best_leaf(child.weights, rows)
         else:
-            total += best(child, history.extended_closed(action, z), j)
+            total += best(child, z, j)
     return immediate + total / config.num_observations
 
 
 def estimate_lb(model: DiscretePomdp, belief: ParticleBelief, action: int,
                 topology: Topology, config: SparseConfig) -> float:
     """Sampled lower bound: adaptive open-loop value estimate."""
-    return _estimate(model, belief, action, AugmentedHistory(), 0, topology,
-                     config, "aol", _stream_head(config.seed, "aol"), (action,))
+    return _estimate(model, belief, action, (), 0, topology, config, "aol",
+                     _stream_head(config.seed, "aol"), (action,))
 
 
 def estimate_ub(model: DiscretePomdp, belief: ParticleBelief, action: int,
                 topology: Topology, config: SparseConfig) -> float:
     """Sampled upper bound: adaptive fully-observable value estimate."""
-    return _estimate(model, belief, action, AugmentedHistory(), 0, topology,
-                     config, "afo", _stream_head(config.seed, "afo"), (action,))
+    return _estimate(model, belief, action, (), 0, topology, config, "afo",
+                     _stream_head(config.seed, "afo"), (action,))
 
 
 def _subtree_signature(topology: Topology, action: int) -> tuple:

@@ -1,12 +1,13 @@
-"""Augmented histories, belief-tree topologies, topology refinement, and the
-exact child expansion of a belief-tree node.
+"""Node keys, belief-tree topologies, topology refinement, and the exact
+child expansion of a belief-tree node.
 
 A topology assigns each tree node a binary mode: 1 means the node's children
 are generated by the simplified updater (open-loop for lower bounds, fully
 observable for upper bounds), 0 means the standard closed-loop updater.  The
-lower and upper assignments are carried as one shared structure: histories are
-keyed by their tagged entry sequence with state entries stripped, so a node of
-the fully-observable tree resolves to the same key as its open-loop twin.
+lower and upper assignments are carried as one shared structure, keyed by a
+node's tuple of ('a', i) and ('z', j) entries (`child_key`): a state never
+enters a key, so a node of the fully-observable tree has the same key as its
+open-loop twin.
 """
 from __future__ import annotations
 
@@ -29,41 +30,17 @@ class TopologyContractError(ValueError):
     """A topology violates a structural precondition (e.g. not open-prefix)."""
 
 
-@dataclass(frozen=True)
-class AugmentedHistory:
-    """Ordered sequence of tagged entries: ('a', i), ('z', j) or ('x', s)."""
-
-    entries: tuple = ()
-
-    def __post_init__(self):
-        if self.entries and self.entries[0][0] != "a":
-            raise ValueError("a non-empty history must start with an action")
-
-    @property
-    def depth(self) -> int:
-        return sum(1 for tag, _ in self.entries if tag == "a")
-
-    @property
-    def key(self) -> tuple:
-        """Canonical node key: the entry sequence with state entries stripped."""
-        return tuple(e for e in self.entries if e[0] != "x")
-
-    def extended_open(self, action: int) -> "AugmentedHistory":
-        return AugmentedHistory(self.entries + (("a", action),))
-
-    def extended_closed(self, action: int, observation: int) -> "AugmentedHistory":
-        return AugmentedHistory(self.entries + (("a", action), ("z", observation)))
-
-    def extended_fully_observable(self, action: int, state: int) -> "AugmentedHistory":
-        return AugmentedHistory(self.entries + (("a", action), ("x", state)))
-
-    @property
-    def actions(self) -> tuple:
-        return tuple(v for tag, v in self.entries if tag == "a")
-
-
 def key_depth(key: tuple) -> int:
     return sum(1 for tag, _ in key if tag == "a")
+
+
+def child_key(key: tuple, action: int, beta: int, observation: int) -> tuple:
+    """Key of the child reached by `action` and `observation` from the node
+    keyed `key` of mode `beta`.  An open node's children, open-loop or fully
+    observable, share one key: a state never enters a key."""
+    if beta == OPEN:
+        return key + (("a", action),)
+    return key + (("a", action), ("z", observation))
 
 
 @dataclass(frozen=True)
@@ -78,7 +55,7 @@ class Topology:
         object.__setattr__(self, "_map", dict(self.assignment))
 
     def beta(self, key: tuple) -> int:
-        if key_depth(key) < self.forced_open_depth:
+        if self.forced_open_depth and key_depth(key) < self.forced_open_depth:
             return OPEN
         return self._map.get(key, self.default_mode)
 
@@ -121,11 +98,11 @@ class Topology:
 
     def is_open_prefix(self, depth: int, action_chain) -> bool:
         """True if every node along the given action chain up to `depth` is open."""
-        history = AugmentedHistory()
+        key = ()
         for i in range(depth):
-            if self.beta(history.key) != OPEN:
+            if self.beta(key) != OPEN:
                 return False
-            history = history.extended_open(action_chain[i])
+            key = child_key(key, action_chain[i], OPEN, None)
         return True
 
     @property
@@ -247,26 +224,9 @@ def exact_branches(model: DiscretePomdp, belief: ExactBelief, action: int,
     return evidence.tolist(), kept.tolist(), posteriors
 
 
-def exact_children(model: DiscretePomdp, belief: ExactBelief,
-                   history: AugmentedHistory, action: int, beta: int,
-                   kind: str):
-    """Yield (probability, child history, child belief) for every branch of
-    `exact_branches`."""
-    probabilities, labels, beliefs = exact_branches(model, belief, action,
-                                                    beta, kind)
-    if beta == OPEN and kind == "aol":
-        extend = lambda _: history.extended_open(action)
-    elif beta == OPEN:
-        extend = lambda x: history.extended_fully_observable(action, x)
-    else:
-        extend = lambda z: history.extended_closed(action, z)
-    for p, label, row in zip(probabilities, labels, beliefs):
-        yield p, extend(label), ExactBelief._derived(row)
-
-
 @dataclass
 class BeliefTreeNode:
-    history: AugmentedHistory
+    key: tuple
     belief: ExactBelief
     depth: int
 
@@ -287,29 +247,32 @@ def build_tree(model: DiscretePomdp, root_belief: ExactBelief, topology: Topolog
                kind: str = "aol") -> BeliefTree:
     """Enumerate the belief tree that the oracle evaluates for a topology.
 
-    Nodes are keyed by their augmented history entries, so sibling
-    observation branches of an open-loop node merge into a single child by
-    construction, while the fully observable children of an open node keep
-    one entry per next state.
+    Nodes are keyed by their path of (action, branch label) pairs, so the
+    single open-loop child of an action is one node, while the fully
+    observable children of an open node keep one node per next state; each
+    node carries its topology key.
     """
     tree = BeliefTree()
-    root = AugmentedHistory()
-    tree.nodes[()] = BeliefTreeNode(root, root_belief, 0)
-    frontier = [(root, root_belief)]
+    tree.nodes[()] = BeliefTreeNode((), root_belief, 0)
+    frontier = [((), tree.nodes[()])]
     count = 1
     for depth in range(horizon):
         nxt = []
-        for history, belief in frontier:
-            beta = topology.beta(history.key)
+        for path, node in frontier:
+            beta = topology.beta(node.key)
             for a in range(model.num_actions):
-                for _, child_h, child_b in exact_children(model, belief, history,
-                                                          a, beta, kind):
+                _, labels, beliefs = exact_branches(model, node.belief, a,
+                                                    beta, kind)
+                for label, row in zip(labels, beliefs):
                     count += 1
                     if count > branch_budget:
                         raise NodeBudgetError(
                             f"tree exceeds branch budget {branch_budget}")
-                    tree.nodes[child_h.entries] = BeliefTreeNode(
-                        child_h, child_b, depth + 1)
-                    nxt.append((child_h, child_b))
+                    child_path = path + ((a, label),)
+                    child = BeliefTreeNode(child_key(node.key, a, beta, label),
+                                           ExactBelief._derived(row),
+                                           depth + 1)
+                    tree.nodes[child_path] = child
+                    nxt.append((child_path, child))
         frontier = nxt
     return tree

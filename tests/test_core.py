@@ -9,7 +9,7 @@ from aolpomdp import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                       observation_predictive, propagate_open_loop,
                       reachable_states)
 from aolpomdp.core import cdf_table, sample_transitions
-from aolpomdp.topology import OPEN, AugmentedHistory, exact_children
+from aolpomdp.topology import OPEN, exact_branches
 from conftest import make_models
 
 
@@ -186,6 +186,13 @@ def test_particle_depletion_raises():
         ParticleBelief(np.zeros(16, dtype=int), np.zeros(16))
 
 
+@pytest.mark.parametrize("weights", [[np.nan, 1.0], [np.inf, 1.0],
+                                     [-np.inf, 1.0], [1e308, 1e308]])
+def test_particle_belief_rejects_nan_and_infinite_weights(weights):
+    with pytest.raises(ValueError), np.errstate(over="ignore"):
+        ParticleBelief(np.array([0, 1]), np.array(weights))
+
+
 def test_reachable_states_covers_propagated_support():
     for model in make_models(23, 10):
         belief = ExactBelief(model.initial_belief)
@@ -210,8 +217,8 @@ def test_public_belief_validates_and_derived_beliefs_are_read_only():
     belief = ExactBelief(model.initial_belief)
     derived = [exact_bayes_update(model, belief, 0, 0)[0],
                propagate_open_loop(model, belief, [0, 1])]
-    derived += [child for _, _, child in exact_children(
-        model, belief, AugmentedHistory(), 0, OPEN, "afo")]
+    derived += [ExactBelief._derived(row)
+                for row in exact_branches(model, belief, 0, OPEN, "afo")[2]]
     for child in derived:
         assert not child.probabilities.flags.writeable
         with pytest.raises(ValueError):

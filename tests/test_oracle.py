@@ -7,9 +7,8 @@ from aolpomdp import (ExactBelief, Topology, exact_afo_value, exact_aol_value,
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
 from aolpomdp.oracle import best_immediate_rewards, exact_continuation_value
-from aolpomdp.topology import (CLOSED, OPEN, AugmentedHistory,
-                               NodeBudgetError, enumerate_keys,
-                               exact_branches, exact_children)
+from aolpomdp.topology import (CLOSED, OPEN, NodeBudgetError, enumerate_keys,
+                               exact_branches)
 from conftest import make_models
 
 
@@ -67,8 +66,8 @@ def test_node_budget_enforced():
 def test_continuation_matches_full_value(tiger_like):
     belief = ExactBelief(np.array([0.5, 0.5]))
     full = exact_q_star(tiger_like, belief, 0, 2)
-    cont = exact_continuation_value(tiger_like, belief, 0, AugmentedHistory(),
-                                    0, 2, Topology.fully_closed(), "aol")
+    cont = exact_continuation_value(tiger_like, belief, 0, (), 2,
+                                    Topology.fully_closed(), "aol")
     assert cont == pytest.approx(full)
 
 
@@ -215,43 +214,26 @@ def test_closing_a_node_never_loosens_a_bound(seed, pick):
                                    model.horizon) + 1e-9)
 
 
-def _branch_history(history, action, beta, kind, label):
-    if beta == CLOSED:
-        return history.extended_closed(action, label)
-    if kind == "afo":
-        return history.extended_fully_observable(action, label)
-    return history.extended_open(action)
-
-
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_batched_leaf_scores_match_per_child_dots(seed):
     """For every branch kind: the batched last-layer score of each branch
-    `==` its best per-action dot `row @ reward[:, a]`; `exact_children`
-    yields the rows of `exact_branches`; and a horizon-2 value sums
-    probability times score in branch order.  Up to 12 states."""
+    `==` its best per-action dot `row @ reward[:, a]`, and a horizon-2 value
+    sums probability times score in branch order.  Up to 12 states."""
     gen = np.random.default_rng(seed)
     model = random_tiny_model(gen, max_states=12, max_observations=4)
     belief = ExactBelief(gen.dirichlet(np.ones(model.num_states)))
     action = int(gen.integers(model.num_actions))
-    history = AugmentedHistory().extended_open(0)
     columns = [model.reward[:, a] for a in range(model.num_actions)]
     for beta, kind, value in ((OPEN, "aol", exact_aol_value),
                               (OPEN, "afo", exact_afo_value),
                               (CLOSED, "aol", exact_aol_value)):
-        probabilities, labels, beliefs = exact_branches(model, belief, action,
-                                                        beta, kind)
+        probabilities, _, beliefs = exact_branches(model, belief, action,
+                                                   beta, kind)
         assert beliefs.flags.c_contiguous and not beliefs.flags.writeable
         per_child = [max(float(row @ column) for column in columns)
                      for row in beliefs]
         assert best_immediate_rewards(model, beliefs).tolist() == per_child
-        children = list(exact_children(model, belief, history, action, beta,
-                                       kind))
-        assert [(p, h) for p, h, _ in children] == [
-            (p, _branch_history(history, action, beta, kind, label))
-            for p, label in zip(probabilities, labels)]
-        for (_, _, child), row in zip(children, beliefs):
-            assert np.array_equal(child.probabilities, row)
         future = 0.0
         for p, score in zip(probabilities, per_child):
             future += p * score

@@ -12,6 +12,7 @@ from aolpomdp import (DiscretePomdp, ExactBelief, SkipConfig, SrgCertificate,
                       replan)
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.core import observation_predictive
+from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
 from aolpomdp.replan import (EmptyLikelihoodSupportError, PositivityError,
                              allowed_observation_sets, q_tilde)
 from aolpomdp.topology import OPEN
@@ -132,6 +133,76 @@ def test_check_srg_stops_at_first_failure():
     if "failed" in statuses:
         assert statuses.index("failed") == len(statuses) - 1
     assert cert.certified_depth == statuses.count("separated")
+
+
+def _srg_record(cert):
+    return (cert.actions,
+            [sorted(s) for s in cert.allowed_observation_sets],
+            [(s.index, s.status, s.action,
+              None if s.bounds is None else
+              [(a, p.lower, p.upper) for a, p in sorted(s.bounds.items())],
+              s.failure_reason) for s in cert.steps])
+
+
+# Certificates asserted with ==, so any change to the float arithmetic of the
+# SRG prefix or its bounds shows.  Cases: (model, first action, depth,
+# explicit observation sets, allowed_top_m, (actions, allowed sets, steps)).
+GOLDEN_SRG = [
+    ("tunnel", 3, 3, None, 4, (
+        [3, 3, 3, 3], [[0, 1, 2, 36]] * 3,
+        [(1, "separated", 3, [(0, 70.625, 70.625), (1, 70.625, 70.625),
+                              (2, 69.62625, 69.62625),
+                              (3, 72.59062499999999, 72.590625)], ""),
+         (2, "separated", 3, [(0, 74.55624999999998, 74.55625),
+                              (1, 74.55624999999998, 74.55625),
+                              (2, 72.73565624999998, 72.73565625),
+                              (3, 202.55296875, 202.55296875)], ""),
+         (3, "separated", 3, [(0, 330.5496875, 330.5496875),
+                              (1, 330.5496875, 330.5496875),
+                              (2, 221.47938749999997, 221.47938749999997),
+                              (3, 388.0191171875, 388.0191171875)], "")])),
+    ("tiny", 0, 2, None, None, (
+        [0, 0], [[0, 1], [0, 1]],
+        [(1, "separated", 0, [(0, 0.3663864121186803, 0.5354492373383157),
+                              (1, 0.2194701499975955, 0.32074094602796743)],
+          ""),
+         (2, "failed", None, [(0, 0.29777378409060723, 0.6359813066777535),
+                              (1, 0.18528573581434926, 0.39573082207969934)],
+          "overlapping bounds")])),
+    ("short", 0, 2, None, 4, (
+        [0], [[1, 8, 9, 10]],
+        [(1, "failed", None,
+          [(0, 2.880252100840337, 1479.809523809524),
+           (1, 2.880252100840337, 1479.809523809524),
+           (2, 2.8702074579831938, 1474.6488095238096),
+           (3, 2.8936449579831938, 1486.6904761904764)],
+          "overlapping bounds")])),
+    ("tunnel", 0, 2, [frozenset({20})], None, (
+        [0], [[20]],
+        [(1, "failed", None, None,
+          "step 1: no positive likelihood over the restricted sets")])),
+    ("signed", 0, 2, None, None, (
+        [0], [[0, 1, 2]],
+        [(1, "failed", None, None,
+          "negative residual value (aol=-0.230793, afo=-0.230793)")])),
+]
+
+
+def test_check_srg_matches_golden_certificates():
+    models = {
+        "tunnel": build_tunnel_pomdp(tunnel_spec(length=12, start_col=8,
+                                                 horizon=2)),
+        "short": build_tunnel_pomdp(tunnel_spec(length=8, start_col=1,
+                                                horizon=2)),
+        "tiny": positive_models(259, 3)[2],
+        "signed": make_models(0, 1)[0],
+    }
+    for name, first, depth, sets, top_m, expected in GOLDEN_SRG:
+        model = models[name]
+        cert = check_srg(model, ExactBelief(model.initial_belief), first,
+                         depth, open_prefix_topology(depth), sets,
+                         model.horizon, top_m)
+        assert _srg_record(cert) == expected, name
 
 
 def test_execute_requires_positive_rewards(tiger_like):

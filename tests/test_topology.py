@@ -2,20 +2,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aolpomdp import CLOSED, OPEN, AugmentedHistory, ExactBelief, Topology, \
-    build_tree, exact_bayes_update, observation_predictive, random_topology, \
+from aolpomdp import CLOSED, OPEN, ExactBelief, Topology, build_tree, \
+    exact_bayes_update, observation_predictive, random_topology, \
     reachable_states, refine_topology
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.core import PROB_TOL
-from aolpomdp.topology import (TopologyContractError, enumerate_keys,
-                               exact_children, key_depth)
+from aolpomdp.topology import (TopologyContractError, child_key,
+                               enumerate_keys, exact_branches, key_depth)
 from conftest import make_models
 
 
-def test_history_key_strips_state_entries():
-    h = AugmentedHistory().extended_fully_observable(1, 3).extended_closed(0, 2)
-    assert h.key == (("a", 1), ("a", 0), ("z", 2))
-    assert h.depth == 2
+def test_child_key_adds_an_observation_only_below_closed_nodes():
+    # the open-loop child (no label) and every fully observable child (a next
+    # state as label) of an open node share one key
+    open_child = child_key((), 1, OPEN, None)
+    assert open_child == (("a", 1),)
+    assert all(child_key((), 1, OPEN, state) == open_child
+               for state in range(4))
+    closed_child = child_key(open_child, 0, CLOSED, 2)
+    assert closed_child == (("a", 1), ("a", 0), ("z", 2))
+    assert key_depth(closed_child) == 2
 
 
 def test_fully_open_and_closed_defaults():
@@ -89,6 +95,9 @@ def test_fully_observable_tree_keeps_one_child_per_next_state():
     assert counts[2] == sum(len(reachable_states(model, node.belief, [a]))
                             for node in tree.nodes.values() if node.depth == 1
                             for a in range(model.num_actions))
+    # the next states of one action are separate nodes under one topology key
+    assert {node.key for node in tree.nodes.values() if node.depth == 1} \
+        == {(("a", a),) for a in range(model.num_actions)}
 
 
 def test_refine_noop_on_closed_node():
@@ -116,15 +125,12 @@ def test_closed_children_are_bayes_updates(seed):
     model = random_tiny_model(gen, max_states=12, max_observations=4)
     belief = ExactBelief(gen.dirichlet(np.ones(model.num_states)))
     action = int(gen.integers(model.num_actions))
-    history = AugmentedHistory().extended_open(0)
-    children = list(exact_children(model, belief, history, action, CLOSED,
-                                   "aol"))
+    probabilities, labels, beliefs = exact_branches(model, belief, action,
+                                                    CLOSED, "aol")
     predictive = observation_predictive(model, belief, action)
-    assert [child_h.entries[-1][1] for _, child_h, _ in children] \
-        == np.flatnonzero(predictive > PROB_TOL).tolist()
-    for evidence, child_h, child_b in children:
-        z = child_h.entries[-1][1]
-        assert child_h == history.extended_closed(action, z)
+    assert labels == np.flatnonzero(predictive > PROB_TOL).tolist()
+    assert len(probabilities) == len(beliefs) == len(labels)
+    for evidence, z, row in zip(probabilities, labels, beliefs):
         posterior, expected = exact_bayes_update(model, belief, action, z)
         assert evidence == expected
-        assert np.array_equal(child_b.probabilities, posterior.probabilities)
+        assert np.array_equal(row, posterior.probabilities)
