@@ -8,7 +8,8 @@ from .core import (DiscretePomdp, ExactBelief, ImpossibleObservationError,
                    propagate_open_loop, reachable_states)
 from .envs import (GridEnvironment, GridWorldSpec, build_beacon_pomdp,
                    build_tunnel_pomdp, tunnel_spec)
-from .oracle import exact_afo_value, exact_aol_value, exact_q_star
+from .oracle import (exact_afo_value, exact_aol_value, exact_bounds,
+                     exact_q_star)
 from .pomcp import AtPomcp, PomcpConfig, SearchResult
 from .replan import (SkipConfig, SrgCertificate, check_srg, compute_ck,
                      execute_with_skipping, future_bounds)
@@ -27,7 +28,7 @@ __all__ = [
     "SrgCertificate", "Topology", "build_beacon_pomdp", "build_tree",
     "build_tunnel_pomdp", "check_separation", "check_srg", "compute_bounds",
     "compute_ck", "exact_afo_value", "exact_aol_value", "exact_bayes_update",
-    "exact_q_star", "execute_with_skipping",
+    "exact_bounds", "exact_q_star", "execute_with_skipping",
     "expected_reward", "estimate_lb", "estimate_ub", "future_bounds",
     "observation_predictive", "plan_with_guarantees",
     "propagate_open_loop", "random_topology", "reachable_states",

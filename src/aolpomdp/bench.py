@@ -23,7 +23,7 @@ from .envs import GridEnvironment, GridWorldSpec, build_beacon_pomdp, \
     build_tunnel_pomdp, tunnel_spec
 from .modelio import (config_bool, config_float, config_int, config_int_list,
                       parse_config)
-from .oracle import exact_aol_value, exact_afo_value, exact_q_star
+from .oracle import exact_bounds, exact_q_star
 from .pomcp import AtPomcp, PomcpConfig
 from .replan import SkipConfig, execute_with_skipping
 from .sparse import SparseConfig, SparsePftEvaluator, estimate_lb
@@ -421,8 +421,7 @@ def run_oracle_suite(seed: int, instance_count: int,
                                       model.horizon, rng)]
         for t_idx, topo in enumerate(topologies):
             for a in range(model.num_actions):
-                lb = exact_aol_value(model, belief, a, topo, model.horizon)
-                ub = exact_afo_value(model, belief, a, topo, model.horizon)
+                lb, ub = exact_bounds(model, belief, a, topo, model.horizon)
                 if inject_bug:
                     lb, ub = ub, lb
                 q = exact_q_star(model, belief, a, model.horizon)

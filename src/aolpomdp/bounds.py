@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 from .core import DiscretePomdp, ExactBelief
-from .oracle import exact_aol_value, exact_afo_value
+from .oracle import exact_bounds
 from .topology import (OPEN, Topology, enumerate_keys, key_depth,
                        refine_topology)
 
@@ -48,29 +48,22 @@ class ExactEvaluator:
     def __init__(self, node_budget: int = 10 ** 6):
         self.node_budget = node_budget
 
-    def lower(self, model, belief, action, topology, horizon):
+    def bounds(self, model, belief, action, topology, horizon) -> tuple:
         if not isinstance(belief, ExactBelief):
             raise TypeError("the exact evaluator requires an ExactBelief")
-        return exact_aol_value(model, belief, action, topology, horizon,
-                               self.node_budget)
-
-    def upper(self, model, belief, action, topology, horizon):
-        if not isinstance(belief, ExactBelief):
-            raise TypeError("the exact evaluator requires an ExactBelief")
-        return exact_afo_value(model, belief, action, topology, horizon,
-                               self.node_budget)
+        return exact_bounds(model, belief, action, topology, horizon,
+                            self.node_budget)
 
 
 def compute_bounds(model: DiscretePomdp, belief, topology: Topology,
                    horizon: int, evaluator) -> dict:
-    """Per-action (lower, upper) bound pairs under one topology."""
+    """Per-action (lower, upper) bound pairs under one topology, one
+    `evaluator.bounds` call per action."""
     actions = range(model.num_actions)
-    lower_vals = [evaluator.lower(model, belief, a, topology, horizon)
-                  for a in actions]
-    upper_vals = [evaluator.upper(model, belief, a, topology, horizon)
-                  for a in actions]
+    pairs = [evaluator.bounds(model, belief, a, topology, horizon)
+             for a in actions]
     meta = getattr(evaluator, "estimation_meta", None)
-    return {a: BoundPair(lower_vals[a], upper_vals[a], a, topology.topology_id,
+    return {a: BoundPair(*pairs[a], a, topology.topology_id,
                          meta() if callable(meta) else None)
             for a in actions}
 

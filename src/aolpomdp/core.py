@@ -13,6 +13,11 @@ from functools import cached_property
 import numpy as np
 
 PROB_TOL = 1e-9
+# Smallest predictive probability of an observation that is conditioned on:
+# the Bayes update rejects an observation at or below it, and the exact
+# expansion drops it, so every observation the tracker can follow is a branch
+# of the exact values.
+MIN_EVIDENCE = PROB_TOL * PROB_TOL
 
 
 class ImpossibleObservationError(ValueError):
@@ -127,6 +132,14 @@ class DiscretePomdp:
         rows = np.ascontiguousarray(self.observation.T)
         rows.setflags(write=False)
         return rows
+
+    @cached_property
+    def afo_table(self) -> dict:
+        """The exact oracle's adaptive fully-observable values of point-mass
+        nodes whose subtree holds no closed node: (state, remaining depth,
+        action) -> (value, node-budget units its recursion spent).  Empty
+        until the oracle fills it."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -246,7 +259,7 @@ def condition(model: DiscretePomdp, propagated: np.ndarray, observations,
     """
     joint = model.likelihoods[observations] * propagated
     evidence = joint.sum(axis=1)
-    if evidence.min() <= PROB_TOL * PROB_TOL:
+    if evidence.min() <= MIN_EVIDENCE:
         raise ImpossibleObservationError(
             f"observation {observations[int(evidence.argmin())]} has zero "
             f"probability under (belief, action={action})")

@@ -54,7 +54,6 @@ class SearchNode:
 class SearchDiagnostics:
     simulations: int = 0
     transitions: list = field(default_factory=list)
-    identity_transitions: int = 0
     nodes: int = 0
 
     def export(self) -> str:
@@ -159,9 +158,7 @@ class AtPomcp:
         self.topology, flipped, identity = random_topo_transition(
             self.topology, self.tree.keys(), self.model.num_observations,
             self.config.horizon, self.rng, self.config.transition_flips)
-        if identity:
-            self.diagnostics.identity_transitions += 1
-        else:
+        if not identity:
             self.diagnostics.transitions.append(
                 (sim_index, self.adaptation_index, len(flipped),
                  self.open_fraction()))

@@ -206,17 +206,14 @@ class SparsePftEvaluator:
         self._cache[(side, action)] = (sig, value)
         return value
 
-    def lower(self, model, belief, action, topology, horizon):
+    def bounds(self, model, belief, action, topology, horizon) -> tuple:
         config = self._with_horizon(horizon)
-        return self._cached("lb", model, belief, action, topology,
-                            lambda: estimate_lb(model, belief, action, topology,
-                                                config))
-
-    def upper(self, model, belief, action, topology, horizon):
-        config = self._with_horizon(horizon)
-        return self._cached("ub", model, belief, action, topology,
-                            lambda: estimate_ub(model, belief, action, topology,
-                                                config))
+        return (self._cached("lb", model, belief, action, topology,
+                             lambda: estimate_lb(model, belief, action,
+                                                 topology, config)),
+                self._cached("ub", model, belief, action, topology,
+                             lambda: estimate_ub(model, belief, action,
+                                                 topology, config)))
 
     def _with_horizon(self, horizon: int) -> SparseConfig:
         if horizon == self.config.horizon:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscretePomdp, ExactBelief, PROB_TOL, condition
+from .core import DiscretePomdp, ExactBelief, MIN_EVIDENCE, condition
 
 OPEN = 1
 CLOSED = 0
@@ -105,43 +105,19 @@ class Topology:
             key = child_key(key, action_chain[i], OPEN, None)
         return True
 
+    def all_open_below(self, key: tuple) -> bool:
+        """True if no node at or below `key` is closed (under a closed
+        default mode, some node below every key is)."""
+        if self.default_mode != OPEN:
+            return False
+        return not any(beta == CLOSED and assigned[:len(key)] == key
+                       and key_depth(assigned) >= self.forced_open_depth
+                       for assigned, beta in self.assignment)
+
     @property
     def topology_id(self) -> str:
         payload = repr((self.assignment, self.default_mode, self.forced_open_depth))
         return hashlib.sha1(payload.encode()).hexdigest()[:12]
-
-    def serialize(self) -> str:
-        lines = [f"default_mode = {self.default_mode}",
-                 f"forced_open_depth = {self.forced_open_depth}"]
-        for key, beta in self.assignment:
-            key_txt = ".".join(f"{tag}{val}" for tag, val in key) or "root"
-            lines.append(f"node {key_txt} = {beta}")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def deserialize(cls, text: str) -> "Topology":
-        default_mode, forced, mapping = OPEN, 0, {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            name, _, value = line.partition("=")
-            name, value = name.strip(), value.strip()
-            if name == "default_mode":
-                default_mode = int(value)
-            elif name == "forced_open_depth":
-                forced = int(value)
-            elif name.startswith("node"):
-                key_txt = name.split(None, 1)[1]
-                if key_txt == "root":
-                    key = ()
-                else:
-                    key = tuple((part[0], int(part[1:]))
-                                for part in key_txt.split("."))
-                mapping[key] = int(value)
-            else:
-                raise ValueError(f"unrecognized topology line: {line!r}")
-        return cls.from_assignment(mapping, default_mode, forced)
 
 
 def enumerate_keys(topology: Topology, num_actions: int, num_observations: int,
@@ -205,8 +181,8 @@ def exact_branches(model: DiscretePomdp, belief: ExactBelief, action: int,
     "aol") have one branch, the open-loop propagated belief, labelled None;
     open nodes of the upper-bound tree ("afo") branch on each reachable next
     state (the label) with a point-mass belief; closed nodes branch on each
-    observation (the label) of non-negligible predictive probability with its
-    Bayes posterior.
+    observation (the label) of predictive probability above `MIN_EVIDENCE`
+    with its Bayes posterior.
     """
     propagated = model.transition[action].T @ belief.probabilities
     if beta == OPEN and kind == "aol":
@@ -219,7 +195,7 @@ def exact_branches(model: DiscretePomdp, belief: ExactBelief, action: int,
         beliefs[np.arange(states.size), states] = 1.0
         beliefs.setflags(write=False)
         return propagated[states].tolist(), states.tolist(), beliefs
-    kept = (propagated @ model.observation > PROB_TOL).nonzero()[0]
+    kept = (propagated @ model.observation > MIN_EVIDENCE).nonzero()[0]
     evidence, posteriors = condition(model, propagated, kept, action)
     return evidence.tolist(), kept.tolist(), posteriors
 

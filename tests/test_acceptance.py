@@ -306,7 +306,8 @@ def test_criterion_09_mcts_return_under_time_budget():
                                   seeds=list(range(20)))
         result = run_experiment(config)
         t, b = result.treatment, result.baseline
-        details.append(f"{budget:.0f}ms:{t.mean_return:.3f}>="
+        held = ">=" if t.mean_return >= b.mean_return else "<"
+        details.append(f"{budget:.0f}ms:{t.mean_return:.3f}{held}"
                        f"{b.mean_return:.3f}")
         if t.mean_return < b.mean_return or t.errors or b.errors:
             ok = False

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aolpomdp import (ExactBelief, Topology, exact_afo_value, exact_aol_value,
-                      exact_q_star, random_topology)
+from aolpomdp import (ExactBelief, ExactEvaluator, Topology, exact_afo_value,
+                      exact_aol_value, exact_q_star, random_topology)
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
 from aolpomdp.oracle import best_immediate_rewards, exact_continuation_value
@@ -192,6 +194,68 @@ def test_value_sandwich_property(seed):
                                    model.horizon) <= q + 1e-9
             assert q <= exact_afo_value(model, belief, a, topo,
                                         model.horizon) + 1e-9
+
+
+def _cold(model):
+    """A copy of `model` whose afo table is empty."""
+    return dataclasses.replace(model)
+
+
+@_PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 6))
+def test_bound_pair_equals_single_values_on_a_cold_table(seed, pick):
+    """The evaluator's one-recursion pair `==` the two single-kind values
+    computed on a fresh copy of the model, under fully open, fully closed,
+    random and once-refined topologies.  The pair's table is shared across
+    the topologies, so later ones read it warm."""
+    model, belief, topology = _tiny_instance(seed)
+    opened = Topology.fully_open()
+    keys = enumerate_keys(opened, model.num_actions, model.num_observations,
+                          model.horizon - 1)
+    refined = opened.flip_to_closed(keys[pick % len(keys)],
+                                    model.num_observations)
+    evaluator = ExactEvaluator()
+    for topo in (opened, Topology.fully_closed(), topology, refined):
+        for a in range(model.num_actions):
+            assert evaluator.bounds(model, belief, a, topo, model.horizon) \
+                == (exact_aol_value(_cold(model), belief, a, topo,
+                                    model.horizon),
+                    exact_afo_value(_cold(model), belief, a, topo,
+                                    model.horizon))
+
+
+def test_afo_table_hits_spend_the_units_of_the_subtree():
+    """Under a fully open topology at horizon 4 every depth-1 node looks up
+    the same depth-2 point-mass entries, so the table hits; the afo value
+    still costs the 820 units of full enumeration, on a cold and on a warm
+    table."""
+    model = make_models(41, 1, max_states=4, max_actions=3,
+                        max_observations=3)[0]
+    belief = ExactBelief(model.initial_belief)
+    opened = Topology.fully_open()
+    with pytest.raises(NodeBudgetError):
+        exact_afo_value(_cold(model), belief, 0, opened, 4, node_budget=819)
+    exact_afo_value(_cold(model), belief, 0, opened, 4, node_budget=820)
+    exact_afo_value(model, belief, 0, opened, 4)
+    assert model.afo_table
+    with pytest.raises(NodeBudgetError):
+        exact_afo_value(model, belief, 0, opened, 4, node_budget=819)
+    exact_afo_value(model, belief, 0, opened, 4, node_budget=820)
+
+
+def test_warm_table_leaves_closed_subtrees_exact():
+    """A closed node below an open root is enumerated, not read from the
+    table that a fully open topology filled."""
+    model = make_models(43, 1, max_states=5, max_horizon=4)[0]
+    belief = ExactBelief(model.initial_belief)
+    horizon = 4
+    refined = Topology.fully_open().flip_to_closed((("a", 0),),
+                                                   model.num_observations)
+    for a in range(model.num_actions):
+        exact_afo_value(model, belief, a, Topology.fully_open(), horizon)
+    for a in range(model.num_actions):
+        assert exact_afo_value(model, belief, a, refined, horizon) \
+            == exact_afo_value(_cold(model), belief, a, refined, horizon)
 
 
 @_PROPERTY

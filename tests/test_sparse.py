@@ -79,15 +79,16 @@ def test_evaluator_caches_untouched_subtrees():
     # open root and open first child, closed elsewhere
     topo = Topology.from_assignment({(): OPEN, (("a", 0),): OPEN},
                                     default_mode=CLOSED)
-    before = {a: evaluator.lower(model, belief, a, topo, horizon)
+    # one cache entry per (side, action)
+    before = {a: evaluator.bounds(model, belief, a, topo, horizon)
               for a in range(model.num_actions)}
-    assert evaluator.cache_misses == model.num_actions
-    # flipping a node under action 0 must only invalidate action 0's entry
+    assert evaluator.cache_misses == 2 * model.num_actions
+    # flipping a node under action 0 must only invalidate action 0's entries
     flipped = topo.flip_to_closed((("a", 0),), model.num_observations)
-    after = {a: evaluator.lower(model, belief, a, flipped, horizon)
+    after = {a: evaluator.bounds(model, belief, a, flipped, horizon)
              for a in range(model.num_actions)}
-    assert evaluator.cache_hits == model.num_actions - 1
-    assert evaluator.cache_misses == model.num_actions + 1
+    assert evaluator.cache_hits == 2 * (model.num_actions - 1)
+    assert evaluator.cache_misses == 2 * model.num_actions + 2
     for a in range(1, model.num_actions):
         assert after[a] == before[a]
 

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aolpomdp import CLOSED, OPEN, ExactBelief, Topology, build_tree, \
-    exact_bayes_update, observation_predictive, random_topology, \
+from aolpomdp import CLOSED, OPEN, DiscretePomdp, ExactBelief, Topology, \
+    build_tree, exact_bayes_update, observation_predictive, \
     reachable_states, refine_topology
 from aolpomdp.bench import random_tiny_model
-from aolpomdp.core import PROB_TOL
+from aolpomdp.core import MIN_EVIDENCE
 from aolpomdp.topology import (TopologyContractError, child_key,
                                enumerate_keys, exact_branches, key_depth)
 from conftest import make_models
@@ -51,11 +51,25 @@ def test_flip_to_closed_rekeys_descendants():
         assert flipped.beta((("a", 0), ("a", 1), ("z", z))) == CLOSED
 
 
-def test_serialize_round_trip(rng):
-    topo = random_topology(3, 2, 3, rng)
-    again = Topology.deserialize(topo.serialize())
-    assert again == topo
-    assert again.topology_id == topo.topology_id
+def test_all_open_below_tracks_closed_nodes():
+    a0, a1 = (("a", 0),), (("a", 1),)
+    assert Topology.fully_open().all_open_below(())
+    srg = Topology(default_mode=OPEN, forced_open_depth=3)
+    assert srg.all_open_below(()) and srg.all_open_below(a0 + a1)
+    assert not Topology.fully_closed().all_open_below(a0)
+    # a closed default closes every node below the forced-open prefix
+    assert not Topology(default_mode=CLOSED,
+                        forced_open_depth=3).all_open_below(a0)
+    refined = Topology.fully_open().flip_to_closed(a0 + a1, 2)
+    assert not refined.all_open_below(())
+    assert not refined.all_open_below(a0)
+    assert not refined.all_open_below(a0 + a1)
+    assert refined.all_open_below(a1)
+    assert refined.all_open_below(a0 + a1 + (("z", 1),))
+    assert refined.all_open_below(a0 + (("a", 0),))
+    # a closed entry inside the forced-open prefix is overridden to open
+    forced = Topology.from_assignment({a0: CLOSED}, OPEN, forced_open_depth=2)
+    assert forced.all_open_below(())
 
 
 def test_enumerate_keys_counts():
@@ -114,6 +128,23 @@ def test_key_depth():
     assert key_depth((("a", 0), ("z", 1), ("a", 2))) == 2
 
 
+def test_every_observation_the_tracker_follows_is_a_branch():
+    """An observation of predictive probability 5e-13 is accepted by the Bayes
+    update, so the exact expansion keeps it as a branch."""
+    likelihoods = np.array([[1.0 - 1e-12, 1e-12], [1.0, 0.0]])
+    eye = np.eye(2)
+    model = DiscretePomdp(np.array([eye, eye]), likelihoods,
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]),
+                          np.array([0.5, 0.5]), horizon=2, r_max=1.0)
+    belief = ExactBelief(model.initial_belief)
+    posterior, evidence = exact_bayes_update(model, belief, 0, 1)
+    probabilities, labels, beliefs = exact_branches(model, belief, 0, CLOSED,
+                                                    "aol")
+    assert labels == [0, 1]
+    assert probabilities[1] == evidence
+    assert np.array_equal(beliefs[1], posterior.probabilities)
+
+
 @settings(derandomize=True, max_examples=50, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_closed_children_are_bayes_updates(seed):
@@ -128,7 +159,7 @@ def test_closed_children_are_bayes_updates(seed):
     probabilities, labels, beliefs = exact_branches(model, belief, action,
                                                     CLOSED, "aol")
     predictive = observation_predictive(model, belief, action)
-    assert labels == np.flatnonzero(predictive > PROB_TOL).tolist()
+    assert labels == np.flatnonzero(predictive > MIN_EVIDENCE).tolist()
     assert len(probabilities) == len(beliefs) == len(labels)
     for evidence, z, row in zip(probabilities, labels, beliefs):
         posterior, expected = exact_bayes_update(model, belief, action, z)
