@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import DiscretePomdp, ExactBelief, MIN_EVIDENCE, condition
+from .core import DiscretePomdp, ExactBelief, MIN_EVIDENCE
 
 OPEN = 1
 CLOSED = 0
@@ -160,8 +160,6 @@ def random_topology(num_actions: int, num_observations: int, horizon: int,
     return Topology.from_assignment(mapping, default_mode=CLOSED)
 
 
-
-
 def refine_topology(topology: Topology, selection,
                     num_observations: int) -> Topology:
     """Close the selected nodes that are still open, shallowest first."""
@@ -182,7 +180,9 @@ def exact_branches(model: DiscretePomdp, belief: ExactBelief, action: int,
     open nodes of the upper-bound tree ("afo") branch on each reachable next
     state (the label) with a point-mass belief; closed nodes branch on each
     observation (the label) of predictive probability above `MIN_EVIDENCE`
-    with its Bayes posterior.
+    with its Bayes posterior.  The evidence is summed as `core.condition`
+    sums it, so the branches are exactly the observations that the Bayes
+    update accepts, with its numbers.
     """
     propagated = model.transition[action].T @ belief.probabilities
     if beta == OPEN and kind == "aol":
@@ -195,8 +195,17 @@ def exact_branches(model: DiscretePomdp, belief: ExactBelief, action: int,
         beliefs[np.arange(states.size), states] = 1.0
         beliefs.setflags(write=False)
         return propagated[states].tolist(), states.tolist(), beliefs
-    kept = (propagated @ model.observation > MIN_EVIDENCE).nonzero()[0]
-    evidence, posteriors = condition(model, propagated, kept, action)
+    # a sum of non-negative terms is at least its largest term, so the
+    # matrix product is positive wherever the row sum passes the threshold
+    kept = (propagated @ model.observation > 0.0).nonzero()[0]
+    joint = model.likelihoods[kept] * propagated
+    evidence = joint.sum(axis=1)
+    if evidence.min() <= MIN_EVIDENCE:
+        possible = evidence > MIN_EVIDENCE
+        kept, joint = kept[possible], joint[possible]
+        evidence = evidence[possible]
+    posteriors = joint / evidence[:, None]
+    posteriors.setflags(write=False)
     return evidence.tolist(), kept.tolist(), posteriors
 
 

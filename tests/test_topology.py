@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aolpomdp import CLOSED, OPEN, DiscretePomdp, ExactBelief, Topology, \
-    build_tree, exact_bayes_update, observation_predictive, \
-    reachable_states, refine_topology
+from aolpomdp import CLOSED, OPEN, DiscretePomdp, ExactBelief, \
+    ImpossibleObservationError, Topology, build_tree, exact_bayes_update, \
+    exact_q_star, observation_predictive, reachable_states, refine_topology
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.core import MIN_EVIDENCE
 from aolpomdp.topology import (TopologyContractError, child_key,
@@ -143,6 +143,34 @@ def test_every_observation_the_tracker_follows_is_a_branch():
     assert labels == [0, 1]
     assert probabilities[1] == evidence
     assert np.array_equal(beliefs[1], posterior.probabilities)
+
+
+def test_observation_at_the_threshold_follows_the_bayes_update():
+    """Observation 1 has evidence within rounding of `MIN_EVIDENCE`: a
+    matrix product puts it above, while the Bayes update's row sum lands on
+    it and rejects it.  The exact expansion keeps exactly the observations
+    the Bayes update accepts, so the oracle does not raise."""
+    p = np.array([0.5819159202480427, 0.4180840797519573])
+    tiny = np.array([1.0946899692737675e-18, 8.682044993416298e-19])
+    eye = np.eye(2)
+    model = DiscretePomdp(np.array([eye, eye]), np.stack([1.0 - tiny, tiny], 1),
+                          np.array([[1.0, -1.0], [-1.0, 1.0]]), p, horizon=2,
+                          r_max=1.0)
+    belief = ExactBelief(model.initial_belief)
+    probabilities, labels, beliefs = exact_branches(model, belief, 0, CLOSED,
+                                                    "aol")
+    accepted = []
+    for z in range(model.num_observations):
+        try:
+            posterior, evidence = exact_bayes_update(model, belief, 0, z)
+        except ImpossibleObservationError:
+            continue
+        accepted.append(z)
+        i = labels.index(z)
+        assert probabilities[i] == evidence
+        assert np.array_equal(beliefs[i], posterior.probabilities)
+    assert labels == accepted
+    assert np.isfinite(exact_q_star(model, belief, 0, 2))
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
