@@ -134,11 +134,13 @@ class DiscretePomdp:
         return rows
 
     @cached_property
-    def afo_table(self) -> dict:
-        """The exact oracle's adaptive fully-observable values of point-mass
-        nodes whose subtree holds no closed node: (state, remaining depth,
-        action) -> (value, node-budget units its recursion spent).  Empty
-        until the oracle fills it."""
+    def value_table(self) -> dict:
+        """The exact oracle's values of belief nodes whose subtree has one
+        mode: (mode, tag, remaining depth, belief bytes) -> (best value over
+        actions, node-budget units its recursion spent).  The tag is the kind
+        ("aol" or "afo") under an open subtree and None under a closed one,
+        where both kinds expand the same branches.  Empty until the oracle
+        fills it."""
         return {}
 
 
@@ -249,23 +251,22 @@ def observation_predictive(model: DiscretePomdp, belief: ExactBelief,
     return propagated @ model.observation
 
 
-def condition(model: DiscretePomdp, propagated: np.ndarray, observations,
+def condition(model: DiscretePomdp, propagated: np.ndarray, observation: int,
               action: int):
-    """Bayes' rule for each of `observations` given the propagated state
-    distribution `propagated` of taking `action`.
+    """Bayes' rule for `observation` given the propagated state distribution
+    `propagated` of taking `action`.
 
-    Returns (evidence, posteriors): P(z | b, a) for each observation and the
-    read-only posteriors as the rows of one array.
+    Returns (evidence, posterior): P(z | b, a) and the read-only posterior.
     """
-    joint = model.likelihoods[observations] * propagated
-    evidence = joint.sum(axis=1)
-    if evidence.min() <= MIN_EVIDENCE:
+    joint = model.likelihoods[observation] * propagated
+    evidence = joint.sum()
+    if evidence <= MIN_EVIDENCE:
         raise ImpossibleObservationError(
-            f"observation {observations[int(evidence.argmin())]} has zero "
-            f"probability under (belief, action={action})")
-    posteriors = joint / evidence[:, None]
-    posteriors.setflags(write=False)
-    return evidence, posteriors
+            f"observation {observation} has zero probability under "
+            f"(belief, action={action})")
+    posterior = joint / evidence
+    posterior.setflags(write=False)
+    return float(evidence), posterior
 
 
 def exact_bayes_update(model: DiscretePomdp, belief: ExactBelief, action: int,
@@ -275,8 +276,8 @@ def exact_bayes_update(model: DiscretePomdp, belief: ExactBelief, action: int,
     Returns (posterior, predictive probability of the observation).
     """
     propagated = model.transition[action].T @ belief.probabilities
-    evidence, posteriors = condition(model, propagated, [observation], action)
-    return ExactBelief._derived(posteriors[0]), float(evidence[0])
+    evidence, posterior = condition(model, propagated, observation, action)
+    return ExactBelief._derived(posterior), evidence
 
 
 def propagate_open_loop(model: DiscretePomdp, belief: ExactBelief,

@@ -4,9 +4,9 @@ Ground truth for every bound and guarantee test: the optimal Q of the original
 problem, and the topology-dependent adaptive open-loop (lower) and adaptive
 fully-observable (upper) values.  No sampling anywhere; fully-observable
 branches enumerate every next state with its exact transition probability.
-One recursion yields the lower and upper value together, and the upper value
-of a point-mass node with no closed node below it, the finite-horizon MDP
-Q-value, is computed once per model (`DiscretePomdp.afo_table`).
+One recursion yields the lower and upper value together, and the value of a
+node whose subtree has one mode, which depends only on its belief and
+remaining depth, is computed once per model (`DiscretePomdp.value_table`).
 """
 from __future__ import annotations
 
@@ -88,45 +88,60 @@ def _futures(model: DiscretePomdp, belief: ExactBelief, action: int,
                             best_immediate_rewards(model, beliefs).tolist()):
             future += p * value
         return [future] * len(kinds)
-    actions = range(model.num_actions)
-    if beta == OPEN and kinds == ("afo",):
-        child_k = child_key(key, action, beta, None)
-        if topology.all_open_below(child_k):
-            future = 0.0
-            for p, state, row in zip(probabilities, labels, beliefs):
-                future += p * max(_tabled_afo(model, row, state, a, child_k,
-                                              depth + 1, end_depth, topology,
-                                              budgets[0])
-                                  for a in actions)
-            return [future]
     futures = [0.0] * len(kinds)
     for p, label, row in zip(probabilities, labels, beliefs):
-        child = ExactBelief._derived(row)
-        child_k = child_key(key, action, beta, label)
-        values = [_q_values(model, child, a, child_k, depth + 1, end_depth,
-                            topology, kinds, budgets) for a in actions]
-        for i, column in enumerate(zip(*values)):
-            futures[i] += p * max(column)
+        values = _best_values(model, row, child_key(key, action, beta, label),
+                              depth + 1, end_depth, topology, kinds, budgets)
+        for i, value in enumerate(values):
+            futures[i] += p * value
     return futures
 
 
-def _tabled_afo(model: DiscretePomdp, row: np.ndarray, state: int,
-                action: int, key: tuple, depth: int, end_depth: int,
-                topology: Topology, budget: _Budget) -> float:
-    """afo value of the point-mass node `row` (on `state`) whose subtree holds
-    no closed node.  It depends only on (state, remaining depth, action), so
-    the first recursion stores its value and spent units in
-    `model.afo_table`, and a later lookup spends the same units."""
-    entry_key = (state, end_depth - depth, action)
-    entry = model.afo_table.get(entry_key)
+def _best_values(model: DiscretePomdp, row: np.ndarray, key: tuple,
+                 depth: int, end_depth: int, topology: Topology,
+                 kinds: tuple, budgets: tuple) -> list:
+    """Best value over actions of the node `row` keyed `key`, for each of
+    `kinds`.
+
+    The value of a node whose subtree has one mode (`Topology.uniform_below`)
+    depends only on its belief and remaining depth, so the first recursion
+    stores it with the units it spent in `model.value_table`, and a later
+    lookup spends the same units on each kind's budget.  Under an open
+    subtree each kind has its own entry; under a closed one both kinds expand
+    the same branches and share one.
+    """
+    mode = topology.uniform_below(key)
+    if mode is None:
+        return _maxima(model, row, key, depth, end_depth, topology, kinds,
+                       budgets)
+    if mode == OPEN and len(kinds) > 1:
+        return [_best_values(model, row, key, depth, end_depth, topology,
+                             (kind,), (budget,))[0]
+                for kind, budget in zip(kinds, budgets)]
+    tag = kinds[0] if mode == OPEN else None
+    entry_key = (mode, tag, end_depth - depth, row.tobytes())
+    entry = model.value_table.get(entry_key)
     if entry is None:
-        before = budget.remaining
-        value = _q_values(model, ExactBelief._derived(row), action, key, depth,
-                          end_depth, topology, ("afo",), (budget,))[0]
-        entry = model.afo_table[entry_key] = (value, before - budget.remaining)
+        before = budgets[0].remaining
+        value = _maxima(model, row, key, depth, end_depth, topology, kinds,
+                        budgets)[0]
+        entry = model.value_table[entry_key] = (
+            value, before - budgets[0].remaining)
     else:
-        budget.spend(entry[1])
-    return entry[0]
+        for budget in budgets:
+            budget.spend(entry[1])
+    return [entry[0]] * len(kinds)
+
+
+def _maxima(model: DiscretePomdp, row: np.ndarray, key: tuple, depth: int,
+            end_depth: int, topology: Topology, kinds: tuple,
+            budgets: tuple) -> list:
+    """Each kind's best value over actions at the node `row`, by
+    recursion."""
+    child = ExactBelief._derived(row)
+    values = [_q_values(model, child, a, key, depth, end_depth, topology,
+                        kinds, budgets) for a in range(model.num_actions)]
+    return [max(column) for column in zip(*values)]
 
 
 def _value(model: DiscretePomdp, belief: ExactBelief, action: int,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -105,16 +106,28 @@ class Topology:
             key = child_key(key, action_chain[i], OPEN, None)
         return True
 
-    def all_open_below(self, key: tuple) -> bool:
-        """True if no node at or below `key` is closed (under a closed
-        default mode, some node below every key is)."""
-        if self.default_mode != OPEN:
-            return False
-        return not any(beta == CLOSED and assigned[:len(key)] == key
-                       and key_depth(assigned) >= self.forced_open_depth
-                       for assigned, beta in self.assignment)
+    def uniform_below(self, key: tuple):
+        """The mode of every node at or below `key` (OPEN or CLOSED), or None
+        if the subtree holds nodes of both modes.
 
-    @property
+        The subtree is all closed only under a closed default, below the
+        forced-open prefix and with no open entry at or below `key`; it is
+        all open only under an open default with no closed entry at or below
+        `key` (a closed entry inside the forced-open prefix is overridden to
+        open).
+        """
+        default = self.default_mode
+        if (default == CLOSED and self.forced_open_depth
+                and key_depth(key) < self.forced_open_depth):
+            return None
+        for assigned, beta in self.assignment:
+            if (beta != default and assigned[:len(key)] == key
+                    and (beta == OPEN
+                         or key_depth(assigned) >= self.forced_open_depth)):
+                return None
+        return default
+
+    @cached_property
     def topology_id(self) -> str:
         payload = repr((self.assignment, self.default_mode, self.forced_open_depth))
         return hashlib.sha1(payload.encode()).hexdigest()[:12]

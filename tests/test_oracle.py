@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aolpomdp import (ExactBelief, ExactEvaluator, Topology, exact_afo_value,
-                      exact_aol_value, exact_q_star, random_topology)
+from aolpomdp import (DiscretePomdp, ExactBelief, ExactEvaluator, Topology,
+                      exact_afo_value, exact_aol_value, exact_q_star,
+                      random_topology)
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
-from aolpomdp.oracle import best_immediate_rewards, exact_continuation_value
+from aolpomdp.oracle import (best_immediate_rewards, exact_bounds,
+                             exact_continuation_value)
 from aolpomdp.topology import (CLOSED, OPEN, NodeBudgetError, enumerate_keys,
                                exact_branches)
 from conftest import make_models
@@ -197,7 +199,7 @@ def test_value_sandwich_property(seed):
 
 
 def _cold(model):
-    """A copy of `model` whose afo table is empty."""
+    """A copy of `model` whose value table is empty."""
     return dataclasses.replace(model)
 
 
@@ -237,10 +239,74 @@ def test_afo_table_hits_spend_the_units_of_the_subtree():
         exact_afo_value(_cold(model), belief, 0, opened, 4, node_budget=819)
     exact_afo_value(_cold(model), belief, 0, opened, 4, node_budget=820)
     exact_afo_value(model, belief, 0, opened, 4)
-    assert model.afo_table
+    assert model.value_table
     with pytest.raises(NodeBudgetError):
         exact_afo_value(model, belief, 0, opened, 4, node_budget=819)
     exact_afo_value(model, belief, 0, opened, 4, node_budget=820)
+
+
+def test_q_star_table_hits_spend_the_units_of_the_subtree():
+    """Q* at horizon 4 fills closed-mode entries on a cold table and reads
+    them on a warm one, and costs the 820 units of full enumeration on
+    both."""
+    model = make_models(41, 1, max_states=4, max_actions=3,
+                        max_observations=3)[0]
+    belief = ExactBelief(model.initial_belief)
+    with pytest.raises(NodeBudgetError):
+        exact_q_star(_cold(model), belief, 0, 4, node_budget=819)
+    exact_q_star(_cold(model), belief, 0, 4, node_budget=820)
+    exact_q_star(model, belief, 0, 4)
+    assert model.value_table
+    with pytest.raises(NodeBudgetError):
+        exact_q_star(model, belief, 0, 4, node_budget=819)
+    exact_q_star(model, belief, 0, 4, node_budget=820)
+
+
+def _point_mass_instance(seed):
+    """A tiny horizon-4 model, half of whose transition and observation rows
+    are one-hot, from a point-mass start, with a random topology: the same
+    point mass recurs as a closed posterior, an open-loop belief and a fully
+    observable branch."""
+    gen = np.random.default_rng(seed)
+    base = random_tiny_model(gen)
+
+    def one_hot_rows(rows):
+        rows = rows.copy()
+        for index in np.ndindex(rows.shape[:-1]):
+            if gen.random() < 0.5:
+                rows[index] = np.eye(rows.shape[-1])[gen.integers(
+                    rows.shape[-1])]
+        return rows
+
+    horizon = 4
+    model = DiscretePomdp(one_hot_rows(base.transition),
+                          one_hot_rows(base.observation), base.reward,
+                          np.eye(base.num_states)[0], horizon, base.r_max)
+    topology = random_topology(model.num_actions, model.num_observations,
+                               horizon, gen)
+    return model, ExactBelief(model.initial_belief), topology
+
+
+@_PROPERTY
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 10 ** 6))
+def test_uniform_entries_never_alias_across_modes(seed, pick):
+    """Values under random and once-refined topologies, read from a table
+    that fully closed and fully open topologies filled, `==` those computed
+    on a fresh copy of the model."""
+    model, belief, topology = _point_mass_instance(seed)
+    opened = Topology.fully_open()
+    keys = enumerate_keys(opened, model.num_actions, model.num_observations,
+                          model.horizon - 1)
+    refined = opened.flip_to_closed(keys[pick % len(keys)],
+                                    model.num_observations)
+    for warm in (Topology.fully_closed(), opened):
+        for a in range(model.num_actions):
+            exact_bounds(model, belief, a, warm, model.horizon)
+    for topo in (topology, refined):
+        for a in range(model.num_actions):
+            for value in (exact_aol_value, exact_afo_value):
+                assert value(model, belief, a, topo, model.horizon) \
+                    == value(_cold(model), belief, a, topo, model.horizon)
 
 
 def test_warm_table_leaves_closed_subtrees_exact():

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from aolpomdp import CLOSED, OPEN, DiscretePomdp, ExactBelief, \
     ImpossibleObservationError, Topology, build_tree, exact_bayes_update, \
-    exact_q_star, observation_predictive, reachable_states, refine_topology
+    exact_q_star, observation_predictive, random_topology, reachable_states, \
+    refine_topology
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.core import MIN_EVIDENCE
 from aolpomdp.topology import (TopologyContractError, child_key,
@@ -53,23 +54,71 @@ def test_flip_to_closed_rekeys_descendants():
 
 def test_all_open_below_tracks_closed_nodes():
     a0, a1 = (("a", 0),), (("a", 1),)
-    assert Topology.fully_open().all_open_below(())
+    assert Topology.fully_open().uniform_below(()) == OPEN
     srg = Topology(default_mode=OPEN, forced_open_depth=3)
-    assert srg.all_open_below(()) and srg.all_open_below(a0 + a1)
-    assert not Topology.fully_closed().all_open_below(a0)
+    assert srg.uniform_below(()) == OPEN and srg.uniform_below(a0 + a1) == OPEN
+    assert Topology.fully_closed().uniform_below(a0) != OPEN
     # a closed default closes every node below the forced-open prefix
-    assert not Topology(default_mode=CLOSED,
-                        forced_open_depth=3).all_open_below(a0)
+    assert Topology(default_mode=CLOSED,
+                    forced_open_depth=3).uniform_below(a0) != OPEN
     refined = Topology.fully_open().flip_to_closed(a0 + a1, 2)
-    assert not refined.all_open_below(())
-    assert not refined.all_open_below(a0)
-    assert not refined.all_open_below(a0 + a1)
-    assert refined.all_open_below(a1)
-    assert refined.all_open_below(a0 + a1 + (("z", 1),))
-    assert refined.all_open_below(a0 + (("a", 0),))
+    assert refined.uniform_below(()) != OPEN
+    assert refined.uniform_below(a0) != OPEN
+    assert refined.uniform_below(a0 + a1) != OPEN
+    assert refined.uniform_below(a1) == OPEN
+    assert refined.uniform_below(a0 + a1 + (("z", 1),)) == OPEN
+    assert refined.uniform_below(a0 + (("a", 0),)) == OPEN
     # a closed entry inside the forced-open prefix is overridden to open
     forced = Topology.from_assignment({a0: CLOSED}, OPEN, forced_open_depth=2)
-    assert forced.all_open_below(())
+    assert forced.uniform_below(()) == OPEN
+
+
+def test_uniform_below_classifies_closed_and_mixed_subtrees():
+    a0, a1, z0 = (("a", 0),), (("a", 1),), (("z", 0),)
+    closed = Topology.fully_closed()
+    assert closed.uniform_below(()) == CLOSED
+    assert closed.uniform_below(a0 + z0 + a1 + z0) == CLOSED
+    # a closed node is mixed below an open one, and the reverse
+    refined = Topology.fully_open().flip_to_closed(a0, 2)
+    assert refined.uniform_below(()) is None
+    assert refined.uniform_below(a0) is None
+    assert refined.uniform_below(a0 + a1 + z0) == OPEN
+    # under a closed default the forced-open prefix is open and what lies
+    # below it closed
+    prefix = Topology(default_mode=CLOSED, forced_open_depth=2)
+    assert prefix.uniform_below(()) is None
+    assert prefix.uniform_below(a0) is None
+    assert prefix.uniform_below(a0 + a1) == CLOSED
+    # an open entry anywhere below a key mixes a closed default
+    opened = Topology.from_assignment({a0 + z0: OPEN}, CLOSED)
+    assert opened.uniform_below(()) is None
+    assert opened.uniform_below(a0 + z0) is None
+    assert opened.uniform_below(a0 + (("z", 1),)) == CLOSED
+    assert opened.uniform_below(a1 + z0) == CLOSED
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_uniform_below_matches_the_modes_of_the_subtree(seed):
+    """On random and refined topologies, every reachable key at or below a
+    key that `uniform_below` classifies, up to the horizon, has that mode."""
+    gen = np.random.default_rng(seed)
+    num_a, num_z = int(gen.integers(1, 3)), int(gen.integers(1, 3))
+    horizon = 3
+    topology = random_topology(num_a, num_z, horizon, gen)
+    opened = Topology.fully_open()
+    candidates = [topology, opened, Topology.fully_closed()]
+    for base in (topology, opened):
+        keys = enumerate_keys(base, num_a, num_z, horizon - 1)
+        candidates.append(refine_topology(
+            base, [keys[int(gen.integers(len(keys)))]], num_z))
+    for candidate in candidates:
+        keys = enumerate_keys(candidate, num_a, num_z, horizon)
+        for key in keys:
+            uniform = candidate.uniform_below(key)
+            if uniform is not None:
+                assert {candidate.beta(k) for k in keys
+                        if k[:len(key)] == key} == {uniform}
 
 
 def test_enumerate_keys_counts():
