@@ -45,6 +45,8 @@ def cdf_table(probabilities: np.ndarray) -> np.ndarray:
     Built as `Generator.choice` builds it (`cumsum`, then divided by the last
     entry), so `int(row.searchsorted(rng.random(), side="right"))` draws the
     same index from the same uniform as `rng.choice(n, p=probabilities)`.
+    `bisect.bisect_right(row.tolist(), u)` makes the same float comparisons
+    and returns the same index, for one draw without numpy overhead.
     """
     cdf = np.cumsum(probabilities, axis=-1)
     cdf /= cdf[..., -1:]
@@ -124,6 +126,16 @@ class DiscretePomdp:
     def observation_cdf(self) -> np.ndarray:
         """(S, O) CDF table of `observation`, built on first use."""
         return cdf_table(self.observation)
+
+    @cached_property
+    def draw_rows(self) -> tuple:
+        """Python-list rows for one draw at a time (AT-POMCP):
+        (transition CDF rows [action][state], observation CDF rows [state],
+        reward rows [state]).  A CDF row is None until its first draw
+        converts it from `transition_cdf` or `observation_cdf`; the reward
+        rows are converted when this is built, on first use."""
+        return ([[None] * self.num_states for _ in range(self.num_actions)],
+                [None] * self.num_states, self.reward.tolist())
 
     @cached_property
     def likelihoods(self) -> np.ndarray:

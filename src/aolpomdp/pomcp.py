@@ -7,14 +7,18 @@ pw_k * j**pw_alpha) randomly chosen visited open nodes are switched to
 closed-loop.  Transitioned nodes keep their visit counts and values; the
 running mean converges to the new-topology value as visits accumulate.
 
-Every draw searches a CDF table of the model with one uniform, exactly as
-`Generator.choice` does with a probability row, so searches draw the same
-random stream as with `choice`, at a fraction of its cost.
+Every draw bisects a CDF row of the model with one uniform
+(`bisect.bisect_right` on a Python-list row of `DiscretePomdp.draw_rows`),
+making the float comparisons that `Generator.choice` makes with a probability
+row, so searches draw the same random stream as with `choice`, at a fraction
+of its cost.  A simulation is one descent loop followed by a backup over its
+path; node statistics are Python lists, so no step does numpy scalar work.
 """
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +50,8 @@ class PomcpConfig:
 @dataclass
 class SearchNode:
     visits: int = 0
-    action_visits: np.ndarray = None
-    action_values: np.ndarray = None
+    action_visits: list = None
+    action_values: list = None
 
 
 @dataclass
@@ -55,12 +59,6 @@ class SearchDiagnostics:
     simulations: int = 0
     transitions: list = field(default_factory=list)
     nodes: int = 0
-
-    def export(self) -> str:
-        lines = ["sim_index,adaptation_index,nodes_flipped,open_fraction"]
-        for sim_index, j, flipped, frac in self.transitions:
-            lines.append(f"{sim_index},{j},{flipped},{frac:.9g}")
-        return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -106,18 +104,26 @@ class AtPomcp:
         self.tree = {}
         self.rng = np.random.default_rng(config.seed)
         self.adaptation_index = 1
+        # the simulation index past which the next transition is due,
+        # pw_k * adaptation_index ** pw_alpha
+        self.adapt_after = config.pw_k if config.adapt_topology else math.inf
         self.diagnostics = SearchDiagnostics()
 
     # -- generative model ---------------------------------------------------
 
     def _generate(self, state: int, action: int):
-        model, rng = self.model, self.rng
-        next_state = int(model.transition_cdf[action, state].searchsorted(
-            rng.random(), side="right"))
-        obs = int(model.observation_cdf[next_state].searchsorted(
-            rng.random(), side="right"))
-        reward = float(model.reward[state, action])
-        return next_state, obs, reward
+        transition_rows, observation_rows, rewards = self.model.draw_rows
+        row = transition_rows[action][state]
+        if row is None:
+            row = transition_rows[action][state] = (
+                self.model.transition_cdf[action, state].tolist())
+        next_state = bisect_right(row, self.rng.random())
+        row = observation_rows[next_state]
+        if row is None:
+            row = observation_rows[next_state] = (
+                self.model.observation_cdf[next_state].tolist())
+        obs = bisect_right(row, self.rng.random())
+        return next_state, obs, rewards[state][action]
 
     def _rollout(self, state: int, depth: int) -> float:
         total = 0.0
@@ -133,28 +139,26 @@ class AtPomcp:
     def _node(self, key: tuple) -> SearchNode:
         node = self.tree.get(key)
         if node is None:
-            node = SearchNode(
-                action_visits=np.zeros(self.model.num_actions, dtype=np.int64),
-                action_values=np.zeros(self.model.num_actions))
+            num_actions = self.model.num_actions
+            node = SearchNode(action_visits=[0] * num_actions,
+                              action_values=[0.0] * num_actions)
             self.tree[key] = node
             self.diagnostics.nodes += 1
         return node
 
     def _ucb_action(self, node: SearchNode) -> int:
-        visits = node.action_visits.tolist()
+        visits = node.action_visits
         if 0 in visits:
             return visits.index(0)
         c, log_n = self.config.ucb_constant, math.log(node.visits)
         scores = [q + c * math.sqrt(log_n / n)
-                  for q, n in zip(node.action_values.tolist(), visits)]
+                  for q, n in zip(node.action_values, visits)]
         return scores.index(max(scores))
 
-    def _maybe_adapt(self, sim_index: int):
-        if not self.config.adapt_topology:
-            return
-        if sim_index <= self.config.pw_k * self.adaptation_index ** self.config.pw_alpha:
-            return
+    def _adapt(self, sim_index: int):
         self.adaptation_index += 1
+        self.adapt_after = (self.config.pw_k
+                            * self.adaptation_index ** self.config.pw_alpha)
         self.topology, flipped, identity = random_topo_transition(
             self.topology, self.tree.keys(), self.model.num_observations,
             self.config.horizon, self.rng, self.config.transition_flips)
@@ -165,22 +169,29 @@ class AtPomcp:
 
     def simulate(self, state: int, key: tuple, depth: int,
                  sim_index: int) -> float:
-        if depth >= self.config.horizon:
-            return 0.0
-        if key not in self.tree:
-            self._node(key)
-            return self._rollout(state, depth)
-        node = self.tree[key]
-        action = self._ucb_action(node)
-        next_state, obs, reward = self._generate(state, action)
-        self._maybe_adapt(sim_index)
-        child = child_key(key, action, self.topology.beta(key), obs)
-        future = self.simulate(next_state, child, depth + 1, sim_index)
-        total = reward + future
-        node.visits += 1
-        node.action_visits[action] += 1
-        node.action_values[action] += (
-            (total - node.action_values[action]) / node.action_visits[action])
+        """One simulation from `state` at node `key`: descend by UCB to the
+        first new node, roll out from it, then back the return up the path."""
+        tree, horizon, path, total = self.tree, self.config.horizon, [], 0.0
+        while depth < horizon:
+            node = tree.get(key)
+            if node is None:
+                self._node(key)
+                total = self._rollout(state, depth)
+                break
+            action = self._ucb_action(node)
+            state, obs, reward = self._generate(state, action)
+            if sim_index > self.adapt_after:
+                self._adapt(sim_index)
+            key = child_key(key, action, self.topology.beta(key), obs)
+            path.append((node, action, reward))
+            depth += 1
+        for node, action, reward in reversed(path):
+            total = reward + total
+            node.visits += 1
+            n = node.action_visits[action] + 1
+            node.action_visits[action] = n
+            value = node.action_values[action]
+            node.action_values[action] = value + (total - value) / n
         return total
 
     def open_fraction(self) -> float:
@@ -191,11 +202,11 @@ class AtPomcp:
 
     def search(self, root_belief) -> SearchResult:
         if isinstance(root_belief, ExactBelief):
-            states = np.arange(self.model.num_states)
-            root_cdf = cdf_table(root_belief.probabilities)
+            states = range(self.model.num_states)
+            root_cdf = cdf_table(root_belief.probabilities).tolist()
         elif isinstance(root_belief, ParticleBelief):
-            states = root_belief.states
-            root_cdf = cdf_table(root_belief.weights)
+            states = root_belief.states.tolist()
+            root_cdf = cdf_table(root_belief.weights).tolist()
         else:
             raise TypeError("root belief must be exact or particle-based")
         deadline = None
@@ -209,16 +220,15 @@ class AtPomcp:
                     break
             elif time.perf_counter() >= deadline:
                 break
-            state = int(states[root_cdf.searchsorted(self.rng.random(),
-                                                     side="right")])
+            state = states[bisect_right(root_cdf, self.rng.random())]
             self.simulate(state, (), 0, sim_index)
         self.diagnostics.simulations = sim_index - 1
         root_node = self._node(())
-        visited = root_node.action_visits > 0
-        values = np.where(visited, root_node.action_values, -np.inf)
+        root_values = np.array(root_node.action_values)
+        root_visits = np.array(root_node.action_visits, dtype=np.int64)
+        visited = root_visits > 0
+        values = np.where(visited, root_values, -np.inf)
         best = int(np.argmax(values)) if visited.any() else 0
-        return SearchResult(best, float(root_node.action_values[best]),
-                            root_node.action_values.copy(),
-                            root_node.action_visits.copy(),
-                            self.diagnostics, self.topology)
+        return SearchResult(best, float(root_values[best]), root_values,
+                            root_visits, self.diagnostics, self.topology)
 

@@ -120,12 +120,17 @@ class Topology:
         if (default == CLOSED and self.forced_open_depth
                 and key_depth(key) < self.forced_open_depth):
             return None
-        for assigned, beta in self.assignment:
-            if (beta != default and assigned[:len(key)] == key
-                    and (beta == OPEN
-                         or key_depth(assigned) >= self.forced_open_depth)):
-                return None
-        return default
+        return None if key in self._mixed_prefixes else default
+
+    @cached_property
+    def _mixed_prefixes(self) -> frozenset:
+        """Every prefix (itself included) of the keys whose effective mode
+        differs from the default: the keys whose subtree is mixed."""
+        return frozenset(
+            assigned[:end] for assigned, beta in self.assignment
+            if beta != self.default_mode
+            and (beta == OPEN or key_depth(assigned) >= self.forced_open_depth)
+            for end in range(len(assigned) + 1))
 
     @cached_property
     def topology_id(self) -> str:

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,6 +89,20 @@ def test_cdf_draws_match_generator_choice(entries, k, seed):
     chosen = choice_rng.choice(row.size, size=k, p=row)
     assert drawn.tolist() == chosen.tolist()
     assert table_rng.random() == choice_rng.random()
+
+
+@settings(deadline=None, derandomize=True, max_examples=100)
+@given(st.lists(_entries, min_size=1, max_size=12).filter(lambda r: sum(r) > 0),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_bisect_draws_match_searchsorted(entries, uniforms):
+    """`bisect_right` on a CDF row as a Python list draws the index that
+    `searchsorted(side="right")` draws: at u == 0, at u equal to an entry or
+    just below it, and on the tied entries of zero-probability states."""
+    cdf = cdf_table(np.array(entries))
+    row = cdf.tolist()
+    below = [float(np.nextafter(c, 0.0)) for c in row]
+    for u in [0.0, *row, *below, *uniforms]:
+        assert bisect_right(row, u) == int(cdf.searchsorted(u, side="right"))
 
 
 class _StuckGenerator:

@@ -3,6 +3,7 @@ import pytest
 
 from aolpomdp import (AtPomcp, ExactBelief, ParticleBelief, PomcpConfig,
                       Topology, exact_q_star)
+from aolpomdp.envs import GridWorldSpec, build_beacon_pomdp
 from aolpomdp.pomcp import random_topo_transition
 from aolpomdp.topology import OPEN
 from conftest import make_models
@@ -124,11 +125,107 @@ def test_converges_near_optimal_on_tiny_model():
     assert abs(result.value - q) < 0.1 * model.v_max
 
 
-def test_diagnostics_export_format():
-    model = make_models(97, 1)[0]
-    config = PomcpConfig(horizon=2, seed=1, num_simulations=1000, pw_k=20.0)
-    solver = AtPomcp(model, config)
-    solver.search(ExactBelief(model.initial_belief))
-    text = solver.diagnostics.export()
-    lines = text.strip().splitlines()
-    assert lines[0] == "sim_index,adaptation_index,nodes_flipped,open_fraction"
+# (root, adapt, seed) -> (root_values, root_visits, open fraction after each
+# transition, nodes); every adaptive search flips one node at simulations
+# 101, 201, 301 and 401
+BEACON_GOLDEN_SEARCHES = {
+    ("exact", False, 0): (
+        [3.5, 11.9454269636088, -4.520833333333336, 4.392857142857142],
+        [1, 495, 2, 1], [], 331),
+    ("exact", False, 1): (
+        [2.590909090909091, -1.6111111111111107, 3.541666666666667,
+         14.687994233657488],
+        [1, 6, 2, 490], [], 348),
+    ("exact", False, 2): (
+        [10.129791586831509, 4.458958633958637, 2.727272727272727,
+         4.366883116883116],
+        [451, 45, 1, 2], [], 352),
+    ("exact", True, 0): (
+        [3.5, 15.28678072768982, -4.604166666666664, 4.392857142857142],
+        [1, 495, 2, 1],
+        [0.9, 0.9753086419753086, 0.9790209790209791, 0.9794871794871794],
+        241),
+    ("exact", True, 1): (
+        [2.590909090909091, 11.403595189532687, 3.2076719576719577,
+         0.5171957671957657],
+        [1, 480, 9, 9],
+        [0.9411764705882353, 0.978021978021978, 0.9794520547945206,
+         0.9805825242718447],
+        258),
+    ("exact", True, 2): (
+        [4.755900349650349, 4.579773004773005, 2.727272727272727,
+         13.234056826958698],
+        [4, 15, 1, 479], [0.9375, 0.9636363636363636, 0.9583333333333334, 0.95],
+        83),
+    ("particle", False, 0): (
+        [2.25, 5.991666666666667, 3.5, 11.825558503149958],
+        [1, 5, 1, 492], [], 210),
+    ("particle", False, 1): (
+        [3.5, 7.055451127819549, 12.363344813816495, 5.729166666666667],
+        [1, 19, 477, 2], [], 253),
+    ("particle", False, 2): (
+        [27.581620315711216, 7.375, 2.25, 7.0],
+        [495, 2, 1, 1], [], 226),
+    ("particle", True, 0): (
+        [2.25, 7.508987056714332, 3.5, 5.354166666666667],
+        [1, 495, 1, 2],
+        [0.9, 0.9636363636363636, 0.9577464788732394, 0.9591836734693877],
+        109),
+    ("particle", True, 1): (
+        [3.5, 7.932205346954308, 5.402777777777778, 6.402342755283932],
+        [1, 478, 3, 17], [0.9333333333333333, 0.8666666666666667, 0.8, 0.8],
+        15),
+    ("particle", True, 2): (
+        [27.39493763964531, 12.25, 2.25, 7.0],
+        [496, 1, 1, 1],
+        [0.8888888888888888, 0.7777777777777778, 0.6666666666666666,
+         0.5555555555555556],
+        9),
+}
+
+
+@pytest.fixture(scope="module")
+def beacon_model():
+    return build_beacon_pomdp(GridWorldSpec(width=10, height=10, horizon=3))
+
+
+@pytest.mark.parametrize("root, adapt, seed", sorted(BEACON_GOLDEN_SEARCHES))
+def test_beacon_search_matches_golden_values(beacon_model, root, adapt, seed):
+    """500-simulation searches on the 10x10 beacon grid, from a uniform exact
+    root (draws from many states' rows) and a particle root, are
+    bit-identical to the values recorded with numpy `searchsorted` draws and
+    array statistics."""
+    belief = (ExactBelief.uniform(beacon_model.num_states) if root == "exact"
+              else ParticleBelief(np.array([13, 13, 31, 45, 67, 88, 90]),
+                                  np.array([0.1, 0.2, 0.1, 0.15, 0.15, 0.2,
+                                            0.1])))
+    config = PomcpConfig(horizon=3, seed=seed, num_simulations=500,
+                         adapt_topology=adapt)
+    result = AtPomcp(beacon_model, config).search(belief)
+    values, visits, fractions, nodes = BEACON_GOLDEN_SEARCHES[root, adapt,
+                                                              seed]
+    assert result.root_values.tolist() == values
+    assert result.root_visits.tolist() == visits
+    assert result.diagnostics.transitions == [
+        (100 * j + 1, j + 1, 1, fraction)
+        for j, fraction in enumerate(fractions, start=1)]
+    assert result.diagnostics.nodes == nodes
+
+
+def test_draw_rows_are_converted_on_first_draw():
+    model = make_models(5, 1, max_horizon=3)[0]
+    transition_rows, observation_rows, rewards = model.draw_rows
+    assert rewards == model.reward.tolist()
+    assert all(row is None for rows in transition_rows for row in rows)
+    config = PomcpConfig(horizon=3, seed=7, num_simulations=50)
+    AtPomcp(model, config).search(ExactBelief(model.initial_belief))
+    assert model.draw_rows is model.draw_rows
+    drawn = 0
+    for a, rows in enumerate(transition_rows):
+        for s, row in enumerate(rows):
+            if row is not None:
+                assert row == model.transition_cdf[a, s].tolist()
+                drawn += 1
+    assert drawn
+    for s, row in enumerate(observation_rows):
+        assert row is None or row == model.observation_cdf[s].tolist()

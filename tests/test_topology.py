@@ -121,6 +121,46 @@ def test_uniform_below_matches_the_modes_of_the_subtree(seed):
                         if k[:len(key)] == key} == {uniform}
 
 
+def _scanned_uniform_below(topology, key):
+    """`Topology.uniform_below` as a scan of the whole assignment."""
+    default, forced = topology.default_mode, topology.forced_open_depth
+    if default == CLOSED and forced and key_depth(key) < forced:
+        return None
+    for assigned, beta in topology.assignment:
+        if (beta != default and assigned[:len(key)] == key
+                and (beta == OPEN or key_depth(assigned) >= forced)):
+            return None
+    return default
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_uniform_below_matches_a_scan_of_the_assignment(seed):
+    """On random topologies, with and without a forced-open prefix, and on
+    topologies refined from the fully open, fully closed and SRG forms, the
+    prefix-set lookup answers what a scan of the assignment answers, for
+    every reachable key."""
+    gen = np.random.default_rng(seed)
+    num_a, num_z, horizon = int(gen.integers(1, 4)), int(gen.integers(1, 3)), 3
+    depth = int(gen.integers(1, horizon))
+    mixed = random_topology(num_a, num_z, horizon, gen)
+    candidates = [mixed, Topology(mixed.assignment, OPEN, depth),
+                  Topology(mixed.assignment, CLOSED, depth)]
+    for topology in (Topology.fully_open(), Topology.fully_closed(),
+                     Topology(default_mode=OPEN, forced_open_depth=depth)):
+        for _ in range(3):
+            keys = [key for key in enumerate_keys(topology, num_a, num_z,
+                                                  horizon - 1)
+                    if key_depth(key) >= topology.forced_open_depth]
+            topology = refine_topology(
+                topology, [keys[int(gen.integers(len(keys)))]], num_z)
+            candidates.append(topology)
+    for topology in candidates:
+        for key in enumerate_keys(topology, num_a, num_z, horizon):
+            assert (topology.uniform_below(key)
+                    == _scanned_uniform_below(topology, key))
+
+
 def test_enumerate_keys_counts():
     open_keys = enumerate_keys(Topology.fully_open(), 3, 2, 2)
     # 1 root + 3 depth-1 + 9 depth-2 nodes
