@@ -2,17 +2,10 @@
 
 UCB tree search over node keys (`topology.child_key`): under an open topology
 sibling observation branches merge into a single node, so the tree stays
-small.  The search starts fully open-loop; on a progressive schedule
-(triggered once the simulation index exceeds pw_k * j**pw_alpha) each
-topology transition closes the next `transition_flips` layers, shallowest
-first, until every layer but the last is closed-loop (the last layer's mode
-never reaches a node: its children are leaves).  A node above the newly
-closed layers, or in the first of them, keeps its key but holds returns
-sampled under the coarser topology, which underestimate the closed-loop
-value by the open-loop gap; it keeps each action's mean as the weight of a
-single visit, so fresh returns outweigh the stale ones while UCB keeps the
-order it learned.  Kept at full weight, the stale means can hold the root
-on the open-loop optimum, which UCB with a small constant never revisits.
+small; on a progressive schedule (triggered once the simulation index exceeds
+pw_k * j**pw_alpha) randomly chosen visited open nodes are switched to
+closed-loop.  Transitioned nodes keep their visit counts and values; the
+running mean converges to the new-topology value as visits accumulate.
 
 Every draw bisects a CDF row of the model with one uniform
 (`bisect.bisect_right` on a Python-list row of `DiscretePomdp.draw_rows`),
@@ -31,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscretePomdp, ExactBelief, ParticleBelief, cdf_table
-from .topology import CLOSED, OPEN, Topology, child_key, key_depth
+from .topology import OPEN, Topology, child_key, key_depth, refine_topology
 
 
 @dataclass(frozen=True)
@@ -43,7 +36,7 @@ class PomcpConfig:
     pw_alpha: float = 1.0
     num_simulations: int = None      # deterministic budget; wall clock if None
     time_budget_ms: float = None
-    transition_flips: int = 1        # layers closed per topology transition
+    transition_flips: int = 1        # nodes flipped per topology transition
     adapt_topology: bool = True
 
     def __post_init__(self):
@@ -78,22 +71,42 @@ class SearchResult:
     topology: Topology
 
 
+def random_topo_transition(topology: Topology, visited_keys, num_observations: int,
+                           horizon: int, rng: np.random.Generator,
+                           flips: int = 1):
+    """Flip up to `flips` uniformly chosen visited open nodes to closed-loop.
+
+    Returns (topology, flipped_keys, identity_flag); the identity flag is set
+    when no open node was available.
+    """
+    candidates = sorted(k for k in visited_keys
+                        if key_depth(k) < horizon and topology.beta(k) == OPEN)
+    if not candidates:
+        return topology, [], True
+    chosen = rng.choice(len(candidates), size=min(flips, len(candidates)),
+                        replace=False)
+    flipped = [candidates[int(i)] for i in chosen]
+    return refine_topology(topology, flipped, num_observations), flipped, False
+
+
 class AtPomcp:
     """Topology-based MCTS solver; baseline POMCP is the same search with a
     fully closed topology and adaptation disabled."""
 
-    def __init__(self, model: DiscretePomdp, config: PomcpConfig):
+    def __init__(self, model: DiscretePomdp, config: PomcpConfig,
+                 initial_topology: Topology = None):
         self.model = model
         self.config = config
-        # nodes shallower than this are closed-loop, the others open-loop
-        self.closed_depth = 0 if config.adapt_topology else config.horizon
+        if initial_topology is None:
+            initial_topology = (Topology.fully_open() if config.adapt_topology
+                                else Topology.fully_closed())
+        self.topology = initial_topology
         self.tree = {}
         self.rng = np.random.default_rng(config.seed)
         self.adaptation_index = 1
         # the simulation index past which the next transition is due,
-        # pw_k * adaptation_index ** pw_alpha, while an open layer is left
-        self.adapt_after = (config.pw_k if self.closed_depth < config.horizon - 1
-                            else math.inf)
+        # pw_k * adaptation_index ** pw_alpha
+        self.adapt_after = config.pw_k if config.adapt_topology else math.inf
         self.diagnostics = SearchDiagnostics()
 
     # -- generative model ---------------------------------------------------
@@ -142,28 +155,17 @@ class AtPomcp:
                   for q, n in zip(node.action_values, visits)]
         return scores.index(max(scores))
 
-    @property
-    def topology(self) -> Topology:
-        if not self.config.adapt_topology:
-            return Topology.fully_closed()
-        return Topology(closed_depth=self.closed_depth)
-
     def _adapt(self, sim_index: int):
-        """Close the next layers; every node that keeps its key keeps each
-        action's mean as the weight of one visit."""
-        first, last = self.closed_depth, self.config.horizon - 1
-        for key, node in self.tree.items():
-            if key_depth(key) <= first:
-                visits = [min(n, 1) for n in node.action_visits]
-                node.action_visits, node.visits = visits, sum(visits)
-        self.closed_depth = min(first + self.config.transition_flips, last)
         self.adaptation_index += 1
         self.adapt_after = (self.config.pw_k
-                            * self.adaptation_index ** self.config.pw_alpha
-                            if self.closed_depth < last else math.inf)
-        self.diagnostics.transitions.append(
-            (sim_index, self.adaptation_index, self.closed_depth - first,
-             self.open_fraction()))
+                            * self.adaptation_index ** self.config.pw_alpha)
+        self.topology, flipped, identity = random_topo_transition(
+            self.topology, self.tree.keys(), self.model.num_observations,
+            self.config.horizon, self.rng, self.config.transition_flips)
+        if not identity:
+            self.diagnostics.transitions.append(
+                (sim_index, self.adaptation_index, len(flipped),
+                 self.open_fraction()))
 
     def simulate(self, state: int, key: tuple, depth: int,
                  sim_index: int) -> float:
@@ -180,8 +182,7 @@ class AtPomcp:
             state, obs, reward = self._generate(state, action)
             if sim_index > self.adapt_after:
                 self._adapt(sim_index)
-            beta = CLOSED if depth < self.closed_depth else OPEN
-            key = child_key(key, action, beta, obs)
+            key = child_key(key, action, self.topology.beta(key), obs)
             path.append((node, action, reward))
             depth += 1
         for node, action, reward in reversed(path):
@@ -194,11 +195,10 @@ class AtPomcp:
         return total
 
     def open_fraction(self) -> float:
-        depths = [d for d in map(key_depth, self.tree)
-                  if d < self.config.horizon]
-        if not depths:
+        keys = [k for k in self.tree if key_depth(k) < self.config.horizon]
+        if not keys:
             return 1.0
-        return sum(d >= self.closed_depth for d in depths) / len(depths)
+        return sum(self.topology.beta(k) == OPEN for k in keys) / len(keys)
 
     def search(self, root_belief) -> SearchResult:
         if isinstance(root_belief, ExactBelief):

@@ -163,7 +163,7 @@ def _subtree_signature(topology: Topology, action: int) -> tuple:
     entries = tuple(sorted((k, b) for k, b in topology.assignment
                            if k and k[0] == ("a", action)))
     return (entries, topology.beta(()), topology.default_mode,
-            topology.forced_open_depth, topology.closed_depth)
+            topology.forced_open_depth)
 
 
 class SparsePftEvaluator:

@@ -46,29 +46,18 @@ def child_key(key: tuple, action: int, beta: int, observation: int) -> tuple:
 
 @dataclass(frozen=True)
 class Topology:
-    """Paired mode assignment (shared by the lower and upper bound trees).
-
-    Every node shallower than `forced_open_depth` is open (the SRG form);
-    below that prefix, every node shallower than `closed_depth` is closed
-    (AT-POMCP's layered transitions); the other nodes take their `assignment`
-    entry or `default_mode`.
-    """
+    """Paired mode assignment (shared by the lower and upper bound trees)."""
 
     assignment: tuple = ()          # sorted ((key, beta), ...) pairs
     default_mode: int = OPEN
     forced_open_depth: int = 0
-    closed_depth: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "_map", dict(self.assignment))
 
     def beta(self, key: tuple) -> int:
-        if self.forced_open_depth or self.closed_depth:
-            depth = key_depth(key)
-            if depth < self.forced_open_depth:
-                return OPEN
-            if depth < self.closed_depth:
-                return CLOSED
+        if self.forced_open_depth and key_depth(key) < self.forced_open_depth:
+            return OPEN
         return self._map.get(key, self.default_mode)
 
     @classmethod
@@ -81,10 +70,9 @@ class Topology:
 
     @classmethod
     def from_assignment(cls, mapping: dict, default_mode: int = OPEN,
-                        forced_open_depth: int = 0,
-                        closed_depth: int = 0) -> "Topology":
+                        forced_open_depth: int = 0) -> "Topology":
         items = tuple(sorted(mapping.items()))
-        return cls(items, default_mode, forced_open_depth, closed_depth)
+        return cls(items, default_mode, forced_open_depth)
 
     def flip_to_closed(self, key: tuple, num_observations: int) -> "Topology":
         """Switch `key` to closed-loop, re-keying its descendants.
@@ -107,8 +95,7 @@ class Topology:
                 mapping[old_key] = beta
         mapping[key] = CLOSED
         return Topology.from_assignment(mapping, self.default_mode,
-                                        self.forced_open_depth,
-                                        self.closed_depth)
+                                        self.forced_open_depth)
 
     def is_open_prefix(self, depth: int, action_chain) -> bool:
         """True if every node along the given action chain up to `depth` is open."""
@@ -125,17 +112,16 @@ class Topology:
 
         The subtree is all closed only under a closed default, below the
         forced-open prefix and with no open entry at or below `key`; it is
-        all open only under an open default, below the closed layers and
-        with no closed entry at or below `key` (a closed entry inside the
-        forced-open prefix is overridden to open).
+        all open only under an open default with no closed entry at or below
+        `key` (a closed entry inside the forced-open prefix is overridden to
+        open).
         """
         default = self.default_mode
         if (default == CLOSED and self.forced_open_depth
                 and key_depth(key) < self.forced_open_depth):
             return None
-        if (default == OPEN and self.closed_depth > self.forced_open_depth
-                and key_depth(key) < self.closed_depth):
-            return None
+        if not self.assignment:     # skips building the prefix set
+            return default
         return None if key in self._mixed_prefixes else default
 
     @cached_property
@@ -150,10 +136,7 @@ class Topology:
 
     @cached_property
     def topology_id(self) -> str:
-        fields = (self.assignment, self.default_mode, self.forced_open_depth)
-        if self.closed_depth:       # ids of unlayered topologies stay as they were
-            fields += (self.closed_depth,)
-        payload = repr(fields)
+        payload = repr((self.assignment, self.default_mode, self.forced_open_depth))
         return hashlib.sha1(payload.encode()).hexdigest()[:12]
 
 

@@ -4,7 +4,8 @@ import pytest
 from aolpomdp import (AtPomcp, ExactBelief, ParticleBelief, PomcpConfig,
                       Topology, exact_q_star)
 from aolpomdp.envs import GridWorldSpec, build_beacon_pomdp
-from aolpomdp.topology import CLOSED, OPEN, key_depth
+from aolpomdp.pomcp import random_topo_transition
+from aolpomdp.topology import OPEN
 from conftest import make_models
 
 
@@ -25,19 +26,26 @@ def test_search_is_deterministic_with_fixed_simulations():
     np.testing.assert_array_equal(first.root_visits, second.root_visits)
 
 
-_GOLDEN_TRANSITIONS = [(51, 2, 1, 0.9230769230769231)]
+_GOLDEN_TRANSITIONS = [(51, 2, 1, 0.9230769230769231),
+                       (101, 3, 1, 0.8461538461538461),
+                       (151, 4, 1, 0.7692307692307693),
+                       (201, 5, 1, 0.7692307692307693)]
 GOLDEN_SEARCHES = {
     ("exact", True): (
-        [0.6255994589577232, -0.18438944921818948, -0.08520496788248948],
-        [233, 33, 37],
-        _GOLDEN_TRANSITIONS + [(101, 3, 1, 0.7297297297297297)]),
+        [0.5845912279483031, -0.2924477768263245, 0.2746714944721116],
+        [272, 32, 95],
+        _GOLDEN_TRANSITIONS + [(251, 6, 1, 0.625),
+                               (301, 7, 1, 0.6111111111111112),
+                               (351, 8, 1, 0.5789473684210527)]),
     ("exact", False): (
         [0.6512429688222104, -0.3800210418812043, 0.14679945344723203],
         [307, 27, 65], []),
     ("particle", True): (
-        [0.48912021994933386, 0.1582514947453621, 0.0766688883085985],
-        [176, 69, 58],
-        _GOLDEN_TRANSITIONS + [(101, 3, 1, 0.7222222222222222)]),
+        [0.43618561099947883, 0.057485081450657075, 0.025619385833515404],
+        [251, 77, 71],
+        _GOLDEN_TRANSITIONS + [(251, 6, 1, 0.7058823529411765),
+                               (301, 7, 1, 0.9583333333333334),
+                               (351, 8, 1, 0.7619047619047619)]),
     ("particle", False): (
         [0.5010018264966553, 0.017109710434234267, 0.061499486006047384],
         [269, 62, 68], []),
@@ -46,11 +54,8 @@ GOLDEN_SEARCHES = {
 
 @pytest.mark.parametrize("root, adapt", sorted(GOLDEN_SEARCHES))
 def test_search_matches_golden_values(root, adapt):
-    """Pinned search outputs.  The baseline's are the values recorded when
-    every draw went through `Generator.choice(p=...)`: the draws consume the
-    same random stream.  The adaptive ones were recorded when transitions
-    became layered (the root closes at simulation 51, the first layer at
-    101, and the last layer stays open)."""
+    """Bit-identical to the values recorded when every draw went through
+    `Generator.choice(p=...)`: the draws consume the same random stream."""
     model = make_models(5, 1, max_horizon=3)[0]
     belief = (ExactBelief(model.initial_belief) if root == "exact" else
               ParticleBelief(np.array([0, 1, 1, 3]),
@@ -89,59 +94,23 @@ def test_adaptation_flips_toward_closed():
         assert 1 <= flipped <= config.transition_flips
 
 
-def test_layered_transitions_stop_below_the_last_layer():
-    model = make_models(97, 1, max_horizon=3)[0]
-    for horizon, flips, layers in ((1, 1, []), (2, 1, [1]), (4, 1, [1, 1, 1]),
-                                   (4, 2, [2, 1]), (4, 5, [3])):
-        config = PomcpConfig(horizon=horizon, seed=1, num_simulations=300,
-                             pw_k=20.0, transition_flips=flips)
-        solver = AtPomcp(model, config)
-        solver.search(ExactBelief(model.initial_belief))
-        transitions = solver.diagnostics.transitions
-        assert [flipped for _, _, flipped, _ in transitions] == layers
-        assert [sim for sim, _, _, _ in transitions] == [
-            20 * j + 1 for j in range(1, len(layers) + 1)]
-        # the last layer's mode never reaches a node: it stays open
-        assert solver.closed_depth == max(horizon - 1, 0)
+def test_random_topo_transition_identity_when_everything_closed(rng):
+    topo = Topology.fully_closed()
+    new, flipped, identity = random_topo_transition(topo, [()], 2, 3, rng)
+    assert identity
+    assert new == topo
+    assert flipped == []
 
 
-def test_layered_transitions_close_layers_shallowest_first():
-    model = make_models(97, 1, max_horizon=3)[0]
-    config = PomcpConfig(horizon=4, seed=1, num_simulations=45, pw_k=20.0)
-    solver = AtPomcp(model, config)
-    solver.search(ExactBelief(model.initial_belief))
-    assert solver.closed_depth == 2
-    topology = solver.topology
-    assert topology == Topology(closed_depth=2)
-    for key in solver.tree:
-        assert topology.beta(key) == (CLOSED if key_depth(key) < 2 else OPEN)
-    # the children of the closed layers are keyed by their observations
-    assert any(len(key) == 4 and key_depth(key) == 2 for key in solver.tree)
-
-
-def test_transition_keeps_each_action_mean_as_one_visit():
-    model = make_models(97, 1, max_horizon=3)[0]
-    config = PomcpConfig(horizon=3, seed=1, num_simulations=200, pw_k=300.0)
-    solver = AtPomcp(model, config)
-    solver.search(ExactBelief(model.initial_belief))
-    before = {key: (list(node.action_visits), list(node.action_values))
-              for key, node in solver.tree.items()}
-    solver._adapt(201)
-    assert solver.closed_depth == 1
-    for key, node in solver.tree.items():
-        visits, values = before[key]
-        assert node.action_values == values
-        if key_depth(key) == 0:
-            assert node.action_visits == [min(n, 1) for n in visits]
-            assert node.visits == sum(node.action_visits)
-        else:
-            assert node.action_visits == visits
-    solver._adapt(401)
-    assert solver.closed_depth == 2
-    for key, node in solver.tree.items():
-        if key_depth(key) <= 1:
-            assert max(node.action_visits) <= 1
-    assert solver.adapt_after == float("inf")
+def test_random_topo_transition_flips_visited_open_nodes(rng):
+    topo = Topology.fully_open()
+    visited = [(), (("a", 0),), (("a", 1),)]
+    new, flipped, identity = random_topo_transition(topo, visited, 2, 3, rng,
+                                                    flips=2)
+    assert not identity
+    assert len(flipped) == 2
+    for key in flipped:
+        assert new.beta(key) != OPEN
 
 
 def test_converges_near_optimal_on_tiny_model():
@@ -157,8 +126,8 @@ def test_converges_near_optimal_on_tiny_model():
 
 
 # (root, adapt, seed) -> (root_values, root_visits, open fraction after each
-# transition, nodes); every adaptive search closes the root at simulation 101
-# and the first layer at 201
+# transition, nodes); every adaptive search flips one node at simulations
+# 101, 201, 301 and 401
 BEACON_GOLDEN_SEARCHES = {
     ("exact", False, 0): (
         [3.5, 11.9454269636088, -4.520833333333336, 4.392857142857142],
@@ -172,17 +141,22 @@ BEACON_GOLDEN_SEARCHES = {
          4.366883116883116],
         [451, 45, 1, 2], [], 352),
     ("exact", True, 0): (
-        [3.7413704716336302, 8.091051415289275, -4.604166666666664,
-         2.988095238095238],
-        [19, 275, 1, 9], [0.9, 0.3974358974358974], 275),
+        [3.5, 15.28678072768982, -4.604166666666664, 4.392857142857142],
+        [1, 495, 2, 1],
+        [0.9, 0.9753086419753086, 0.9790209790209791, 0.9794871794871794],
+        241),
     ("exact", True, 1): (
-        [12.378660106419423, 2.087975175865801, 1.9416005291005294,
+        [2.590909090909091, 11.403595189532687, 3.2076719576719577,
          0.5171957671957657],
-        [301, 1, 1, 1], [0.9411764705882353, 0.39215686274509803], 319),
+        [1, 480, 9, 9],
+        [0.9411764705882353, 0.978021978021978, 0.9794520547945206,
+         0.9805825242718447],
+        258),
     ("exact", True, 2): (
-        [3.8779501748251746, 11.130117615940385, 2.727272727272727,
-         -2.4480877772017013],
-        [1, 301, 1, 1], [0.9375, 0.43023255813953487], 296),
+        [4.755900349650349, 4.579773004773005, 2.727272727272727,
+         13.234056826958698],
+        [4, 15, 1, 479], [0.9375, 0.9636363636363636, 0.9583333333333334, 0.95],
+        83),
     ("particle", False, 0): (
         [2.25, 5.991666666666667, 3.5, 11.825558503149958],
         [1, 5, 1, 492], [], 210),
@@ -193,14 +167,20 @@ BEACON_GOLDEN_SEARCHES = {
         [27.581620315711216, 7.375, 2.25, 7.0],
         [495, 2, 1, 1], [], 226),
     ("particle", True, 0): (
-        [2.25, 6.818543711931346, 3.5, 3.963541666666667],
-        [1, 300, 1, 2], [0.9, 0.6], 173),
+        [2.25, 7.508987056714332, 3.5, 5.354166666666667],
+        [1, 495, 1, 2],
+        [0.9, 0.9636363636363636, 0.9577464788732394, 0.9591836734693877],
+        109),
     ("particle", True, 1): (
-        [3.5, 4.639459787897287, 4.368055555555555, 11.457464413594268],
-        [1, 3, 1, 299], [0.9333333333333333, 0.6290322580645161], 192),
+        [3.5, 7.932205346954308, 5.402777777777778, 6.402342755283932],
+        [1, 478, 3, 17], [0.9333333333333333, 0.8666666666666667, 0.8, 0.8],
+        15),
     ("particle", True, 2): (
-        [8.050355388961515, 7.303661616161618, 2.25, 14.085218728639795],
-        [12, 6, 1, 285], [0.8888888888888888, 0.55], 215),
+        [27.39493763964531, 12.25, 2.25, 7.0],
+        [496, 1, 1, 1],
+        [0.8888888888888888, 0.7777777777777778, 0.6666666666666666,
+         0.5555555555555556],
+        9),
 }
 
 
@@ -212,10 +192,9 @@ def beacon_model():
 @pytest.mark.parametrize("root, adapt, seed", sorted(BEACON_GOLDEN_SEARCHES))
 def test_beacon_search_matches_golden_values(beacon_model, root, adapt, seed):
     """500-simulation searches on the 10x10 beacon grid, from a uniform exact
-    root (draws from many states' rows) and a particle root.  The baseline's
-    are bit-identical to the values recorded with numpy `searchsorted` draws
-    and array statistics; the adaptive ones were recorded when transitions
-    became layered."""
+    root (draws from many states' rows) and a particle root, are
+    bit-identical to the values recorded with numpy `searchsorted` draws and
+    array statistics."""
     belief = (ExactBelief.uniform(beacon_model.num_states) if root == "exact"
               else ParticleBelief(np.array([13, 13, 31, 45, 67, 88, 90]),
                                   np.array([0.1, 0.2, 0.1, 0.15, 0.15, 0.2,

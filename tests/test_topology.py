@@ -1,5 +1,3 @@
-import hashlib
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,40 +119,6 @@ def test_uniform_below_matches_the_modes_of_the_subtree(seed):
             if uniform is not None:
                 assert {candidate.beta(k) for k in keys
                         if k[:len(key)] == key} == {uniform}
-
-
-def test_layered_topology_closes_every_node_above_its_depth():
-    """AT-POMCP's layered form: nodes shallower than `closed_depth` are
-    closed whatever their entry, below a forced-open prefix; `uniform_below`
-    agrees with the modes of each subtree; an unlayered topology keeps its
-    id."""
-    num_a, num_z, horizon = 2, 2, 3
-    mixed = random_topology(num_a, num_z, horizon, np.random.default_rng(4))
-    candidates = [Topology(closed_depth=1), Topology(closed_depth=2),
-                  Topology(mixed.assignment, OPEN, 0, 2),
-                  Topology(mixed.assignment, OPEN, 1, 2),
-                  Topology(default_mode=OPEN, forced_open_depth=2,
-                           closed_depth=1),
-                  Topology(closed_depth=1).flip_to_closed(
-                      (("a", 0), ("z", 1)), num_z)]
-    for topology in candidates:
-        keys = enumerate_keys(topology, num_a, num_z, horizon)
-        for key in keys:
-            depth = key_depth(key)
-            if depth < topology.forced_open_depth:
-                assert topology.beta(key) == OPEN
-            elif depth < topology.closed_depth:
-                assert topology.beta(key) == CLOSED
-            uniform = topology.uniform_below(key)
-            if uniform is not None:
-                assert {topology.beta(k) for k in keys
-                        if k[:len(key)] == key} == {uniform}
-    assert candidates[-1].closed_depth == 1
-    assert candidates[-1].beta((("a", 0), ("z", 1))) == CLOSED
-    assert candidates[-1].beta((("a", 0), ("z", 0))) == OPEN
-    assert Topology(closed_depth=1).topology_id != Topology().topology_id
-    assert Topology().topology_id == hashlib.sha1(
-        repr(((), OPEN, 0)).encode()).hexdigest()[:12]
 
 
 def _scanned_uniform_below(topology, key):
