@@ -21,8 +21,8 @@ from .core import (DiscretePomdp, ExactBelief, ParticleBelief,
                    ParticleDepletionError)
 from .envs import GridEnvironment, GridWorldSpec, build_beacon_pomdp, \
     build_tunnel_pomdp, tunnel_spec
-from .modelio import (config_bool, config_float, config_int, config_int_list,
-                      parse_config)
+from .modelio import (config_bool, config_choice, config_float, config_int,
+                      config_int_list, parse_config)
 from .oracle import exact_bounds, exact_q_star
 from .pomcp import AtPomcp, PomcpConfig
 from .replan import SkipConfig, execute_with_skipping
@@ -84,7 +84,7 @@ class ExperimentConfig:
         if unknown:
             raise ValueError("unknown config key(s): "
                              + ", ".join(repr(k) for k in unknown))
-        env_kind = doc.get("environment.kind", "beacon")
+        env_kind = config_choice(doc, "environment.kind", ("beacon", "tunnel"))
         compat = compat_obsmodel or config_bool(doc, "environment.compat_obsmodel")
         if env_kind == "tunnel":
             spec = tunnel_spec(
@@ -131,15 +131,20 @@ class ExperimentConfig:
                  else config_int_list(doc, "seeds", [0]))
         nsim = config_int(doc, "solver.num_simulations", 0) or None
         budget = config_float(doc, "solver.time_budget_ms", 0.0) or None
+        flips = config_int(doc, "solver.flips", 1)
+        if flips < 1:
+            raise ValueError("config key 'solver.flips': expected at least 1, "
+                             f"got {flips}")
         return cls(
             env_kind=env_kind, spec=spec,
-            solver=doc.get("solver.kind", "sparse"),
+            solver=config_choice(doc, "solver.kind",
+                                 ("sparse", "pomcp", "exact")),
             num_particles=config_int(doc, "solver.N", 30),
             num_observations=config_int(doc, "solver.NO", 2),
             num_state_branches=config_int(doc, "solver.state_branches", 0) or None,
             plan_horizon=config_int(doc, "solver.horizon", spec.horizon),
             max_refinements=config_int(doc, "solver.max_refinements", 2),
-            flips=config_int(doc, "solver.flips", 1),
+            flips=flips,
             num_simulations=nsim, time_budget_ms=budget,
             ucb_constant=config_float(doc, "solver.ucb", 1.0),
             pw_k=config_float(doc, "solver.pw_k", 100.0),

@@ -117,12 +117,6 @@ class PlanResult:
     def guaranteed(self) -> bool:
         return self.separation.separated
 
-    def export_bound_trace(self) -> str:
-        lines = ["iteration,action,lb,ub,topology_id"]
-        for it, action, lb, ub, tid in self.bound_trace:
-            lines.append(f"{it},{action},{lb:.9g},{ub:.9g},{tid}")
-        return "\n".join(lines) + "\n"
-
 
 def plan_with_guarantees(model: DiscretePomdp, belief, initial_topology: Topology,
                          horizon: int, evaluator, refinement_policy=None,

@@ -47,6 +47,15 @@ def config_bool(config: dict, key: str, default: bool = False) -> bool:
     raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
 
 
+def config_choice(config: dict, key: str, choices: tuple) -> str:
+    """The value of `key`, one of `choices`; the first choice if absent."""
+    value = config.get(key, choices[0])
+    if value not in choices:
+        raise ValueError(f"config key {key!r}: expected one of "
+                         f"{', '.join(map(repr, choices))}, got {value!r}")
+    return value
+
+
 def config_int_list(config: dict, key: str, default=None) -> list:
     if key not in config:
         if default is None:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import DiscretePomdp, ExactBelief, ParticleBelief, cdf_table
-from .topology import (CLOSED, OPEN, Topology, child_key, key_depth,
-                       refine_topology)
+from .topology import CLOSED, OPEN, child_key, key_depth
 
 
 @dataclass(frozen=True)
@@ -55,6 +54,9 @@ class PomcpConfig:
         if self.pw_alpha <= 0 or self.pw_alpha > 1 or self.pw_k <= 0:
             raise ValueError("progressive schedule parameters must be positive "
                              "with alpha in (0, 1]")
+        if self.transition_flips < 1:
+            raise ValueError("transition_flips must be at least 1, got "
+                             f"{self.transition_flips}")
 
 
 @dataclass
@@ -78,25 +80,6 @@ class SearchResult:
     root_values: np.ndarray
     root_visits: np.ndarray
     diagnostics: SearchDiagnostics
-    topology: Topology
-
-
-def random_topo_transition(topology: Topology, visited_keys, num_observations: int,
-                           horizon: int, rng: np.random.Generator,
-                           flips: int = 1):
-    """Flip up to `flips` uniformly chosen visited open nodes to closed-loop.
-
-    Returns (topology, flipped_keys, identity_flag); the identity flag is set
-    when no open node was available.
-    """
-    candidates = sorted(k for k in visited_keys
-                        if key_depth(k) < horizon and topology.beta(k) == OPEN)
-    if not candidates:
-        return topology, [], True
-    chosen = rng.choice(len(candidates), size=min(flips, len(candidates)),
-                        replace=False)
-    flipped = [candidates[int(i)] for i in chosen]
-    return refine_topology(topology, flipped, num_observations), flipped, False
 
 
 class AtPomcp:
@@ -164,18 +147,6 @@ class AtPomcp:
                   for q, n in zip(node.action_values, visits)]
         return scores.index(max(scores))
 
-    @property
-    def topology(self) -> Topology:
-        """The topology that the layers describe: the tree's closed keys
-        while an open layer is left above the last one."""
-        if self.closed_depth == 0:
-            return Topology.fully_open()
-        if self.closed_depth >= self.config.horizon - 1:
-            return Topology.fully_closed()
-        return Topology.from_assignment(
-            {key: CLOSED for key in self.tree
-             if key_depth(key) < self.closed_depth})
-
     def _adapt(self, sim_index: int):
         """Close the next `transition_flips` layers.  A key deeper than the
         first of them took an open step at that layer, so no descent reaches
@@ -193,8 +164,7 @@ class AtPomcp:
                             * self.adaptation_index ** self.config.pw_alpha
                             if self.closed_depth < last else math.inf)
         self.diagnostics.transitions.append(
-            (sim_index, self.adaptation_index, self.closed_depth - first,
-             self.open_fraction()))
+            (sim_index, self.adaptation_index, self.closed_depth - first))
 
     def simulate(self, state: int, key: tuple, depth: int) -> float:
         """One simulation from `state` at node `key`: descend by UCB to the
@@ -223,10 +193,14 @@ class AtPomcp:
         return total
 
     def open_fraction(self) -> float:
-        if not self.tree:
+        """The share of the tree's nodes that are open-loop: all of them
+        before the first transition, none once only the last layer is open
+        (its mode reaches no node)."""
+        if not self.tree or self.closed_depth == 0:
             return 1.0
-        topology = self.topology
-        return (sum(topology.beta(key) == OPEN for key in self.tree)
+        if self.closed_depth >= self.config.horizon - 1:
+            return 0.0
+        return (sum(key_depth(key) >= self.closed_depth for key in self.tree)
                 / len(self.tree))
 
     def search(self, root_belief) -> SearchResult:
@@ -261,5 +235,5 @@ class AtPomcp:
         values = np.where(visited, root_values, -np.inf)
         best = int(np.argmax(values)) if visited.any() else 0
         return SearchResult(best, float(root_values[best]), root_values,
-                            root_visits, self.diagnostics, self.topology)
+                            root_visits, self.diagnostics)
 

@@ -320,8 +320,7 @@ def execute_with_skipping(model: DiscretePomdp, environment, planner,
             depth = skip_config.max_skip_depth
             t1 = time.perf_counter()
             certificate = check_srg(
-                model, belief, action, depth,
-                Topology(default_mode=OPEN, forced_open_depth=depth), None,
+                model, belief, action, depth, Topology.fully_open(), None,
                 skip_config.plan_horizon or model.horizon,
                 skip_config.allowed_top_m)
             trace.rows[-1].srg_time = time.perf_counter() - t1

@@ -162,8 +162,7 @@ def estimate_ub(model: DiscretePomdp, belief: ParticleBelief, action: int,
 def _subtree_signature(topology: Topology, action: int) -> tuple:
     entries = tuple(sorted((k, b) for k, b in topology.assignment
                            if k and k[0] == ("a", action)))
-    return (entries, topology.beta(()), topology.default_mode,
-            topology.forced_open_depth)
+    return (entries, topology.beta(()), topology.default_mode)
 
 
 class SparsePftEvaluator:

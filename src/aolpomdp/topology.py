@@ -3,11 +3,12 @@ child expansion of a belief-tree node.
 
 A topology assigns each tree node a binary mode: 1 means the node's children
 are generated by the simplified updater (open-loop for lower bounds, fully
-observable for upper bounds), 0 means the standard closed-loop updater.  The
-lower and upper assignments are carried as one shared structure, keyed by a
-node's tuple of ('a', i) and ('z', j) entries (`child_key`): a state never
-enters a key, so a node of the fully-observable tree has the same key as its
-open-loop twin.
+observable for upper bounds), 0 means the standard closed-loop updater.  It
+is an assignment of modes to node keys over a default mode, which every
+unassigned node takes.  The lower and upper assignments are carried as one
+shared structure, keyed by a node's tuple of ('a', i) and ('z', j) entries
+(`child_key`): a state never enters a key, so a node of the fully-observable
+tree has the same key as its open-loop twin.
 """
 from __future__ import annotations
 
@@ -50,14 +51,11 @@ class Topology:
 
     assignment: tuple = ()          # sorted ((key, beta), ...) pairs
     default_mode: int = OPEN
-    forced_open_depth: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "_map", dict(self.assignment))
 
     def beta(self, key: tuple) -> int:
-        if self.forced_open_depth and key_depth(key) < self.forced_open_depth:
-            return OPEN
         return self._map.get(key, self.default_mode)
 
     @classmethod
@@ -69,10 +67,9 @@ class Topology:
         return cls(default_mode=CLOSED)
 
     @classmethod
-    def from_assignment(cls, mapping: dict, default_mode: int = OPEN,
-                        forced_open_depth: int = 0) -> "Topology":
-        items = tuple(sorted(mapping.items()))
-        return cls(items, default_mode, forced_open_depth)
+    def from_assignment(cls, mapping: dict,
+                        default_mode: int = OPEN) -> "Topology":
+        return cls(tuple(sorted(mapping.items())), default_mode)
 
     def flip_to_closed(self, key: tuple, num_observations: int) -> "Topology":
         """Switch `key` to closed-loop, re-keying its descendants.
@@ -81,8 +78,6 @@ class Topology:
         action children, so every assignment entry below the node is expanded
         into one copy per observation (mode inheritance for the new children).
         """
-        if key_depth(key) < self.forced_open_depth:
-            raise TopologyContractError("cannot close a node in the forced-open prefix")
         mapping = {}
         for old_key, beta in self.assignment:
             if (len(old_key) > len(key) and old_key[:len(key)] == key
@@ -94,8 +89,7 @@ class Topology:
             else:
                 mapping[old_key] = beta
         mapping[key] = CLOSED
-        return Topology.from_assignment(mapping, self.default_mode,
-                                        self.forced_open_depth)
+        return Topology.from_assignment(mapping, self.default_mode)
 
     def is_open_prefix(self, depth: int, action_chain) -> bool:
         """True if every node along the given action chain up to `depth` is open."""
@@ -110,34 +104,35 @@ class Topology:
         """The mode of every node at or below `key` (OPEN or CLOSED), or None
         if the subtree holds nodes of both modes.
 
-        The subtree is all closed only under a closed default, below the
-        forced-open prefix and with no open entry at or below `key`; it is
-        all open only under an open default with no closed entry at or below
-        `key` (a closed entry inside the forced-open prefix is overridden to
-        open).
+        The subtree has the default mode unless an entry at or below `key`
+        assigns the other one.
         """
-        default = self.default_mode
-        if (default == CLOSED and self.forced_open_depth
-                and key_depth(key) < self.forced_open_depth):
-            return None
         if not self.assignment:     # skips building the prefix set
-            return default
-        return None if key in self._mixed_prefixes else default
+            return self.default_mode
+        return None if key in self._mixed_prefixes else self.default_mode
 
     @cached_property
     def _mixed_prefixes(self) -> frozenset:
-        """Every prefix (itself included) of the keys whose effective mode
-        differs from the default: the keys whose subtree is mixed."""
+        """Every prefix (itself included) of the keys whose mode differs from
+        the default: the keys whose subtree is mixed."""
         return frozenset(
             assigned[:end] for assigned, beta in self.assignment
             if beta != self.default_mode
-            and (beta == OPEN or key_depth(assigned) >= self.forced_open_depth)
             for end in range(len(assigned) + 1))
 
     @cached_property
     def topology_id(self) -> str:
-        payload = repr((self.assignment, self.default_mode, self.forced_open_depth))
+        payload = repr((self.assignment, self.default_mode))
         return hashlib.sha1(payload.encode()).hexdigest()[:12]
+
+
+def _child_keys(key: tuple, beta: int, num_actions: int,
+                num_observations: int) -> list:
+    """Keys of the children of the node keyed `key` of mode `beta`, by action
+    and, below a closed node, by observation."""
+    labels = [None] if beta == OPEN else range(num_observations)
+    return [child_key(key, a, beta, z)
+            for a in range(num_actions) for z in labels]
 
 
 def enumerate_keys(topology: Topology, num_actions: int, num_observations: int,
@@ -146,17 +141,10 @@ def enumerate_keys(topology: Topology, num_actions: int, num_observations: int,
     keys = [()]
     frontier = [()]
     for _ in range(horizon):
-        nxt = []
-        for key in frontier:
-            if topology.beta(key) == OPEN:
-                children = [key + (("a", a),) for a in range(num_actions)]
-            else:
-                children = [key + (("a", a), ("z", z))
-                            for a in range(num_actions)
-                            for z in range(num_observations)]
-            nxt.extend(children)
-        keys.extend(nxt)
-        frontier = nxt
+        frontier = [child for key in frontier
+                    for child in _child_keys(key, topology.beta(key),
+                                             num_actions, num_observations)]
+        keys.extend(frontier)
     return keys
 
 
@@ -168,14 +156,8 @@ def random_topology(num_actions: int, num_observations: int, horizon: int,
     for _ in range(horizon):
         nxt = []
         for key in frontier:
-            beta = OPEN if rng.random() < p_open else CLOSED
-            mapping[key] = beta
-            if beta == OPEN:
-                nxt.extend(key + (("a", a),) for a in range(num_actions))
-            else:
-                nxt.extend(key + (("a", a), ("z", z))
-                           for a in range(num_actions)
-                           for z in range(num_observations))
+            beta = mapping[key] = OPEN if rng.random() < p_open else CLOSED
+            nxt.extend(_child_keys(key, beta, num_actions, num_observations))
         frontier = nxt
     return Topology.from_assignment(mapping, default_mode=CLOSED)
 

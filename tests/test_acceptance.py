@@ -204,7 +204,7 @@ def test_criterion_06_future_bound_sandwich_and_nesting():
     for model in models:
         belief = ExactBelief(model.initial_belief)
         for k in (1, 2):
-            topo = Topology(default_mode=OPEN, forced_open_depth=k)
+            topo = Topology.fully_open()
             prefix = [i % model.num_actions for i in range(k)]
             full = [frozenset(range(model.num_observations))] * k
             narrow = allowed_observation_sets(model, belief, prefix, top_m=2)
@@ -250,7 +250,7 @@ def test_criterion_07_certified_skips_are_optimal():
         q0 = [exact_q_star(model, belief, a, plan_horizon)
               for a in range(model.num_actions)]
         first = int(np.argmax(q0))
-        topo = Topology(default_mode=OPEN, forced_open_depth=2)
+        topo = Topology.fully_open()
         cert = check_srg(model, belief, first, 2, topo,
                          plan_horizon=plan_horizon, allowed_top_m=2)
         actions = [first]

@@ -49,6 +49,24 @@ def test_config_rejects_unknown_key(tmp_path):
                      "--out-dir", str(tmp_path / "out")]) == 1
 
 
+@pytest.mark.parametrize("line, message", [
+    ("solver.kind pomcpp", "expected one of 'sparse', 'pomcp', 'exact'"),
+    ("environment.kind tunel", "expected one of 'beacon', 'tunnel'"),
+    ("solver.flips 0", "expected at least 1, got 0"),
+], ids=["solver-kind", "environment-kind", "solver-flips"])
+def test_config_rejects_values_it_would_replace(tmp_path, capsys, line,
+                                                message):
+    text = f"{line}\nseeds 0\n"
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_document(text)
+    config_path = tmp_path / "exp.cfg"
+    config_path.write_text(text)
+    assert cli_main(["run", "--config", str(config_path),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split()[0] in err
+
+
 def test_config_logs_clamped_cells_and_dropped_obstacles(caplog):
     text = ("environment.kind beacon\nenvironment.width 5\n"
             "environment.height 6\nenvironment.beacon_x 9\nseeds 0\n")

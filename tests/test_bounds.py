@@ -63,13 +63,3 @@ def test_fully_refined_topology_separates():
                                   model.horizon, ExactEvaluator(),
                                   max_refinements=256)
     assert result.guaranteed
-
-
-def test_bound_trace_export(tiger_like):
-    belief = ExactBelief(np.array([0.5, 0.5]))
-    result = plan_with_guarantees(tiger_like, belief, Topology.fully_open(), 2,
-                                  ExactEvaluator(), max_refinements=8)
-    text = result.export_bound_trace()
-    lines = text.strip().splitlines()
-    assert lines[0] == "iteration,action,lb,ub,topology_id"
-    assert len(lines) > 1

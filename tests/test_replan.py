@@ -15,16 +15,12 @@ from aolpomdp.core import observation_predictive
 from aolpomdp.envs import build_tunnel_pomdp, tunnel_spec
 from aolpomdp.replan import (EmptyLikelihoodSupportError, PositivityError,
                              allowed_observation_sets, q_tilde)
-from aolpomdp.topology import OPEN
+from aolpomdp.topology import TopologyContractError
 from conftest import make_models
 
 
 def positive_models(seed, count):
     return make_models(seed, count, positive_rewards=True)
-
-
-def open_prefix_topology(depth):
-    return Topology(default_mode=OPEN, forced_open_depth=depth)
 
 
 def test_compute_ck_uniform_likelihood_is_one():
@@ -78,7 +74,7 @@ def test_ck_in_unit_interval_property(seed):
 def test_q_tilde_zero_prefix_is_plain_value():
     model = positive_models(113, 1)[0]
     belief = ExactBelief(model.initial_belief)
-    topo = open_prefix_topology(0)
+    topo = Topology.fully_open()
     value = q_tilde(model, belief, [], 0, topo, 2, "aol")
     from aolpomdp import exact_aol_value
     assert value == pytest.approx(exact_aol_value(model, belief, 0, topo, 2))
@@ -87,7 +83,7 @@ def test_q_tilde_zero_prefix_is_plain_value():
 def test_future_bounds_sandwich_every_posterior():
     for model in positive_models(127, 8):
         belief = ExactBelief(model.initial_belief)
-        topo = open_prefix_topology(1)
+        topo = Topology.fully_open()
         plan_horizon = 2
         prefix = [0]
         for candidate in range(model.num_actions):
@@ -105,7 +101,7 @@ def test_future_bounds_sandwich_every_posterior():
 def test_restricted_sets_tighten_bounds():
     for model in positive_models(131, 6):
         belief = ExactBelief(model.initial_belief)
-        topo = open_prefix_topology(1)
+        topo = Topology.fully_open()
         full = [frozenset(range(model.num_observations))]
         narrow = allowed_observation_sets(model, belief, [0], top_m=1)
         wide_pair = future_bounds(model, belief, [0, 0], topo, 2, full)
@@ -126,13 +122,25 @@ def test_check_srg_stops_at_first_failure():
     model = positive_models(139, 1)[0]
     belief = ExactBelief(model.initial_belief)
     cert = check_srg(model, belief, 0, depth=2,
-                     topology=open_prefix_topology(2), plan_horizon=2,
+                     topology=Topology.fully_open(), plan_horizon=2,
                      allowed_top_m=model.num_observations)
     assert cert.depth == 2
     statuses = [s.status for s in cert.steps]
     if "failed" in statuses:
         assert statuses.index("failed") == len(statuses) - 1
     assert cert.certified_depth == statuses.count("separated")
+
+
+def test_closed_prefix_breaks_the_topology_contract():
+    """The SRG prefix is open-loop: a topology that closes the root is
+    rejected, not evaluated."""
+    model = positive_models(139, 1)[0]
+    belief = ExactBelief(model.initial_belief)
+    closed = Topology.fully_closed()
+    with pytest.raises(TopologyContractError):
+        future_bounds(model, belief, [0, 0], closed, 2)
+    with pytest.raises(TopologyContractError):
+        check_srg(model, belief, 0, depth=2, topology=closed, plan_horizon=2)
 
 
 def _srg_record(cert):
@@ -200,7 +208,7 @@ def test_check_srg_matches_golden_certificates():
     for name, first, depth, sets, top_m, expected in GOLDEN_SRG:
         model = models[name]
         cert = check_srg(model, ExactBelief(model.initial_belief), first,
-                         depth, open_prefix_topology(depth), sets,
+                         depth, Topology.fully_open(), sets,
                          model.horizon, top_m)
         assert _srg_record(cert) == expected, name
 

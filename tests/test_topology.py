@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from aolpomdp import CLOSED, OPEN, DiscretePomdp, ExactBelief, \
@@ -8,8 +7,8 @@ from aolpomdp import CLOSED, OPEN, DiscretePomdp, ExactBelief, \
     refine_topology
 from aolpomdp.bench import random_tiny_model
 from aolpomdp.core import MIN_EVIDENCE
-from aolpomdp.topology import (TopologyContractError, child_key,
-                               enumerate_keys, exact_branches, key_depth)
+from aolpomdp.topology import (child_key, enumerate_keys, exact_branches,
+                               key_depth)
 from conftest import make_models
 
 
@@ -30,15 +29,6 @@ def test_fully_open_and_closed_defaults():
     assert Topology.fully_closed().beta(()) == CLOSED
 
 
-def test_forced_open_prefix():
-    topo = Topology(default_mode=CLOSED, forced_open_depth=2)
-    assert topo.beta(()) == OPEN
-    assert topo.beta((("a", 1),)) == OPEN
-    assert topo.beta((("a", 1), ("a", 0))) == CLOSED
-    with pytest.raises(TopologyContractError):
-        topo.flip_to_closed((("a", 1),), num_observations=2)
-
-
 def test_flip_to_closed_rekeys_descendants():
     topo = Topology.from_assignment({
         (): OPEN,
@@ -55,12 +45,8 @@ def test_flip_to_closed_rekeys_descendants():
 def test_all_open_below_tracks_closed_nodes():
     a0, a1 = (("a", 0),), (("a", 1),)
     assert Topology.fully_open().uniform_below(()) == OPEN
-    srg = Topology(default_mode=OPEN, forced_open_depth=3)
-    assert srg.uniform_below(()) == OPEN and srg.uniform_below(a0 + a1) == OPEN
+    assert Topology.fully_open().uniform_below(a0 + a1) == OPEN
     assert Topology.fully_closed().uniform_below(a0) != OPEN
-    # a closed default closes every node below the forced-open prefix
-    assert Topology(default_mode=CLOSED,
-                    forced_open_depth=3).uniform_below(a0) != OPEN
     refined = Topology.fully_open().flip_to_closed(a0 + a1, 2)
     assert refined.uniform_below(()) != OPEN
     assert refined.uniform_below(a0) != OPEN
@@ -68,9 +54,6 @@ def test_all_open_below_tracks_closed_nodes():
     assert refined.uniform_below(a1) == OPEN
     assert refined.uniform_below(a0 + a1 + (("z", 1),)) == OPEN
     assert refined.uniform_below(a0 + (("a", 0),)) == OPEN
-    # a closed entry inside the forced-open prefix is overridden to open
-    forced = Topology.from_assignment({a0: CLOSED}, OPEN, forced_open_depth=2)
-    assert forced.uniform_below(()) == OPEN
 
 
 def test_uniform_below_classifies_closed_and_mixed_subtrees():
@@ -83,12 +66,6 @@ def test_uniform_below_classifies_closed_and_mixed_subtrees():
     assert refined.uniform_below(()) is None
     assert refined.uniform_below(a0) is None
     assert refined.uniform_below(a0 + a1 + z0) == OPEN
-    # under a closed default the forced-open prefix is open and what lies
-    # below it closed
-    prefix = Topology(default_mode=CLOSED, forced_open_depth=2)
-    assert prefix.uniform_below(()) is None
-    assert prefix.uniform_below(a0) is None
-    assert prefix.uniform_below(a0 + a1) == CLOSED
     # an open entry anywhere below a key mixes a closed default
     opened = Topology.from_assignment({a0 + z0: OPEN}, CLOSED)
     assert opened.uniform_below(()) is None
@@ -123,12 +100,9 @@ def test_uniform_below_matches_the_modes_of_the_subtree(seed):
 
 def _scanned_uniform_below(topology, key):
     """`Topology.uniform_below` as a scan of the whole assignment."""
-    default, forced = topology.default_mode, topology.forced_open_depth
-    if default == CLOSED and forced and key_depth(key) < forced:
-        return None
+    default = topology.default_mode
     for assigned, beta in topology.assignment:
-        if (beta != default and assigned[:len(key)] == key
-                and (beta == OPEN or key_depth(assigned) >= forced)):
+        if beta != default and assigned[:len(key)] == key:
             return None
     return default
 
@@ -136,22 +110,17 @@ def _scanned_uniform_below(topology, key):
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_uniform_below_matches_a_scan_of_the_assignment(seed):
-    """On random topologies, with and without a forced-open prefix, and on
-    topologies refined from the fully open, fully closed and SRG forms, the
+    """On random topologies, over a closed and an open default, and on
+    topologies refined from the fully open and fully closed forms, the
     prefix-set lookup answers what a scan of the assignment answers, for
     every reachable key."""
     gen = np.random.default_rng(seed)
     num_a, num_z, horizon = int(gen.integers(1, 4)), int(gen.integers(1, 3)), 3
-    depth = int(gen.integers(1, horizon))
     mixed = random_topology(num_a, num_z, horizon, gen)
-    candidates = [mixed, Topology(mixed.assignment, OPEN, depth),
-                  Topology(mixed.assignment, CLOSED, depth)]
-    for topology in (Topology.fully_open(), Topology.fully_closed(),
-                     Topology(default_mode=OPEN, forced_open_depth=depth)):
+    candidates = [mixed, Topology(mixed.assignment, OPEN)]
+    for topology in (Topology.fully_open(), Topology.fully_closed()):
         for _ in range(3):
-            keys = [key for key in enumerate_keys(topology, num_a, num_z,
-                                                  horizon - 1)
-                    if key_depth(key) >= topology.forced_open_depth]
+            keys = enumerate_keys(topology, num_a, num_z, horizon - 1)
             topology = refine_topology(
                 topology, [keys[int(gen.integers(len(keys)))]], num_z)
             candidates.append(topology)
